@@ -8,6 +8,7 @@ for a single discriminant.  Exit codes: 0 success, 2 invalid input,
 
 import argparse
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -107,21 +108,33 @@ def _cache_load(path: str | None) -> dict:
     out = {}
     try:
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
-                out[int(obj["seed"]["disc"])] = line
+                try:
+                    out[int(json.loads(line)["seed"]["disc"])] = line
+                except (ValueError, KeyError, TypeError):
+                    # a torn or foreign line: recompute rather than crash
+                    print(f"warning: skipping unreadable cache line {lineno} "
+                          f"of {path}", file=sys.stderr)
     except FileNotFoundError:
         pass
     return out
 
 
 def _cache_append(path: str | None, line: str):
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
+    if not path:
+        return
+    with open(path, "ab+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            # a torn last write lacks its newline; end it so that this
+            # record does not run on from it
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
+        fh.write(line.encode() + b"\n")
 
 
 # --- subcommands ---
@@ -321,8 +334,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_RANGE_RX = re.compile(r"^-\d+\.\.-?\d+$")
+
+
+def _attach_ranges(argv):
+    """Rewrite `--m -8..8` as `--m=-8..8`: argparse takes a value that
+    starts with '-' and is not a plain number for an option flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--m", "--n") and _RANGE_RX.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_ranges(argv))
     try:
         return args.fn(args)
     except ValidationError as e:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import iroot, is_squarefree, rational_roots
+from .arith import cube_root_exact, iroot, is_squarefree, rational_roots
 from .errors import (DegenerateDiscriminant, DiscriminantMismatch,
                      CountNotOfExpectedShape, NotSquarefree, NotUnimodular,
                      ReducibleForm, ReduciblePolynomial, ZeroDiscriminant)
@@ -367,57 +367,136 @@ class MonicSearch:
         return self.status in ('already_monic', 'found')
 
 
-def _unit_pairs_numpy(F: BinaryCubicForm, bound: int):
-    import numpy as np
-    a, b, c, d = F.coeffs()
-    xs = np.arange(-bound, bound + 1, dtype=np.int64)
-    hits = []
-    for q in range(-bound, bound + 1):
-        v = ((a * xs + b * q) * xs + c * q * q) * xs + d * q**3
-        for i in np.nonzero(v == 1)[0]:
-            hits.append((int(xs[i]), q))
-    return hits
+# --- exact sieved point search ---
+#
+# A ratpoints-style residue sieve (after Stoll's ratpoints): for each
+# modulus m and each row residue y mod m, a bitmask over x marks the cells
+# whose value F(x, y) mod m the target can take.  ANDing a row's masks
+# leaves a few survivors, and each survivor is checked exactly, so the
+# sieve only ever discards cells that cannot be hits.
+
+_SIEVE_MODULI = (9, 7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97)
+
+# target -> (residues mod m of every value that can pass, exact test)
+_TARGETS = {
+    "cube": (lambda m: {t**3 % m for t in range(m)},
+             lambda v: cube_root_exact(v) is not None),
+    "unit": (lambda m: {1}, lambda v: v == 1),
+}
 
 
-def _unit_pairs_python(F: BinaryCubicForm, bound: int):
-    hits = []
-    for q in range(-bound, bound + 1):
-        for p in range(-bound, bound + 1):
-            if F(p, q) == 1:
-                hits.append((p, q))
-    return hits
+def _residue_patterns(F: BinaryCubicForm, m: int, allowed) -> list[int]:
+    """For each y mod m, the m-bit pattern whose bit s is set when
+    F(s, y) mod m lies in `allowed`."""
+    a, b, c, d = (t % m for t in F.coeffs())
+    ok = [v in allowed for v in range(m)]
+    pats = []
+    for y in range(m):
+        by, cy, dy = b * y, c * y * y, d * y**3
+        pats.append(sum(1 << s for s in range(m)
+                        if ok[(((a * s + by) * s + cy) * s + dy) % m]))
+    return pats
+
+
+def _tile(pat: int, m: int, lo: int, width: int) -> int:
+    """The m-periodic pattern laid over x = lo .. lo + width - 1, bit i
+    standing for x = lo + i."""
+    k = lo % m
+    pat = ((pat >> k) | (pat << (m - k))) & ((1 << m) - 1)
+    n = m
+    while n < width:
+        pat |= pat << n
+        n *= 2
+    return pat & ((1 << width) - 1)
+
+
+class _Sieve:
+    """Residue patterns of one form for one target, built per modulus on
+    first use (most rows die after a few moduli)."""
+
+    def __init__(self, F: BinaryCubicForm, target: str):
+        self.F = F
+        self.allowed, self.accept = _TARGETS[target]
+        self.patterns = [None] * len(_SIEVE_MODULI)
+
+    def hits(self, ys, lo: int, width: int) -> list[tuple[int, int]]:
+        """Verified hits (x, y): y in ys, lo <= x < lo + width, gcd 1."""
+        F, accept = self.F, self.accept
+        masks = [None] * len(_SIEVE_MODULI)
+        full = (1 << width) - 1
+        out = []
+        for y in ys:
+            row = full
+            for k, m in enumerate(_SIEVE_MODULI):
+                ms = masks[k]
+                if ms is None:
+                    if self.patterns[k] is None:
+                        self.patterns[k] = _residue_patterns(F, m, self.allowed(m))
+                    ms = masks[k] = [_tile(p, m, lo, width) for p in self.patterns[k]]
+                row &= ms[y % m]
+                if not row:
+                    break
+            if not row:
+                continue
+            bits = bin(row)                  # '0b1...', highest bit first
+            top = len(bits) - 1
+            i = bits.find("1", 2)
+            while i != -1:
+                x = lo + top - i
+                if gcd(x, y) == 1 and accept(F(x, y)):
+                    out.append((x, y))
+                i = bits.find("1", i + 1)
+        return out
+
+
+def _sieved_search(F: BinaryCubicForm, bound: int, target: str):
+    """The first coprime (x, y) with |x|, |y| <= bound, in the order
+    (max(|x|, |y|), x, y), whose value F(x, y) meets the target ('cube':
+    a perfect cube, 'unit': exactly 1); None when the box has none.
+
+    Boxes of radius 1, 2, 4, ... (the last one capped at bound) are
+    searched in turn, each only on its new annulus, and the search stops
+    at the first radius with a hit.  That returns exactly the first hit of
+    the whole box: every cell of smaller max-norm lies in an earlier
+    radius, which had none, and the minimum is taken over the full radius
+    that has one.  (0, 0) is never coprime and is never visited."""
+    sieve = _Sieve(F, target)
+    done = 0
+    while done < bound:
+        r = min(2 * done or 1, bound)
+        outer = [*range(-r, -done), *range(done + 1, r + 1)]
+        inner = range(-done, done + 1)
+        hits = (sieve.hits(outer, -r, 2 * r + 1)
+                + sieve.hits(inner, -r, r - done)
+                + sieve.hits(inner, done + 1, r - done))
+        if hits:
+            return min(hits, key=lambda h: (max(abs(h[0]), abs(h[1])), h))
+        done = r
+    return None
 
 
 def monic_representative(F: BinaryCubicForm, bound: int) -> MonicSearch:
     """Bounded search for coprime (p, q), |p|,|q| <= bound, F(p, q) = 1;
     the first hit (max-norm rings, then lexicographic) is completed to a
     unimodular matrix giving an equivalent monic form.  'not_found' is a
-    semi-decision, valid only up to the bound."""
+    semi-decision, valid only up to the bound.
+
+    The residue sieve of _sieved_search (target residue 1 modulo each
+    sieve modulus, survivors checked exactly) stops at the first doubling
+    radius with a hit and returns the same first hit as a full scan."""
     _check_reducible(F)
     if F.a == 1:
         return MonicSearch('already_monic', ((1, 0), (0, 1)), F, bound)
-    maxc = max(abs(t) for t in F.coeffs())
-    try:
-        import numpy  # noqa: F401
-        have_numpy = True
-    except ImportError:
-        have_numpy = False
-    if have_numpy and 4 * maxc * (bound + 1)**3 < 2**62:
-        hits = _unit_pairs_numpy(F, bound)
-    else:
-        hits = _unit_pairs_python(F, bound)
-    hits.sort(key=lambda pq: (max(abs(pq[0]), abs(pq[1])), pq))
-    for p, q in hits:
-        if gcd(p, q) != 1:
-            continue
-        assert F(p, q) == 1
-        g, x0, y0 = _xgcd(p, q)
-        assert g == 1
-        M = ((p, -y0), (q, x0))
-        G = act(F, M)
-        assert G.a == 1
-        return MonicSearch('found', M, G, bound)
-    return MonicSearch('not_found', None, None, bound)
+    hit = _sieved_search(F, bound, "unit")
+    if hit is None:
+        return MonicSearch('not_found', None, None, bound)
+    p, q = hit
+    g, x0, y0 = _xgcd(p, q)
+    assert g == 1 and F(p, q) == 1
+    M = ((p, -y0), (q, x0))
+    G = act(F, M)
+    assert G.a == 1
+    return MonicSearch('found', M, G, bound)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,15 @@ points everywhere locally but not globally.  This module provides the
 three ingredients for a verdict: bounded global point search, p-adic
 solvability, and the assembly with its conditionality bookkeeping.
 
+The global search is exact.  It shares the residue sieve of cubicforms
+with the monic search: a cell survives only if its value is a cube modulo
+each of 9, 7, 13, ..., 97, and every survivor is confirmed with an integer
+cube root.  Boxes of radius 1, 2, 4, ... up to the bound are searched in
+turn, and the search stops at the first radius with a hit.  The returned
+point is the first hit in (max-norm, x, y) order over the whole box,
+because all smaller max-norms were searched, without a hit, at earlier
+radii.  No float enters the search.
+
 Local solvability is decided through the charts (1 : t) and (pt : 1) of
 P^1(Z_p): C has a Q_p-point iff one of the chart polynomials takes a cube
 value on Z_p (z = 0 points included, cube 0).  The chart recursion scans
@@ -21,15 +30,12 @@ from math import gcd
 
 import sympy
 
-from .arith import factorize, iroot
-from .cubicforms import BinaryCubicForm, disc, monic_representative
-from .errors import BadPrime, DiscriminantMismatch, InconsistencyError
+from .arith import cube_root_exact, factorize
+from .cubicforms import (BinaryCubicForm, MonicSearch, _sieved_search, disc,
+                         monic_representative)
+from .errors import (BadPrime, DiscriminantMismatch, InconsistencyError,
+                     InconsistentInputs)
 from .seeds import DiscriminantSeed
-
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover
-    _np = None
 
 REAL_PLACE = "real"
 
@@ -98,51 +104,21 @@ def _proj_normalize(x: int, y: int, z: int):
     return (x, y, z)
 
 
-def _cube_hits_numpy(F: BinaryCubicForm, bound: int):
-    a, b, c, d = F.coeffs()
-    xs = _np.arange(-bound, bound + 1, dtype=_np.int64)
-    hits = []
-    for y in range(-bound, bound + 1):
-        v = ((a * xs + b * y) * xs + c * y * y) * xs + d * y**3
-        z = _np.rint(_np.cbrt(v.astype(_np.float64))).astype(_np.int64)
-        mask = (z * z * z == v) | ((z + 1)**3 == v) | ((z - 1)**3 == v)
-        for i in _np.nonzero(mask)[0]:
-            hits.append((int(xs[i]), y))
-    return hits
-
-
-def _cube_hits_python(F: BinaryCubicForm, bound: int):
-    hits = []
-    for y in range(-bound, bound + 1):
-        for x in range(-bound, bound + 1):
-            v = F(x, y)
-            r = iroot(abs(v), 3) if v else 0
-            if r**3 == abs(v):
-                hits.append((x, y))
-    return hits
-
-
 def global_search(C: HomogeneousSpace, bound: int):
     """First coprime (x, y), |x|,|y| <= bound (ordered by max-norm rings,
     then lexicographically), with G(x, y) a perfect cube z^3.  Returns the
-    normalized projective triple (x : y : z), or None."""
+    normalized projective triple (x : y : z), or None.
+
+    The residue sieve of cubicforms._sieved_search skips only cells whose
+    value is a non-cube modulo a sieve modulus and confirms every survivor
+    with an integer cube root; its radius doubling stops early yet returns
+    the same first hit as a scan of every cell of the box."""
     F = C.form
-    maxc = max(abs(t) for t in F.coeffs())
-    if _np is not None and 4 * maxc * (bound + 1)**3 < 2**62:
-        hits = _cube_hits_numpy(F, bound)
-    else:
-        hits = _cube_hits_python(F, bound)
-    hits.sort(key=lambda pq: (max(abs(pq[0]), abs(pq[1])), pq))
-    for x, y in hits:
-        if gcd(x, y) != 1:
-            continue
-        v = F(x, y)
-        r = iroot(abs(v), 3) if v else 0
-        if v >= 0 and r**3 == v:
-            return _proj_normalize(x, y, r)
-        if v < 0 and r**3 == -v:
-            return _proj_normalize(x, y, -r)
-    return None
+    hit = _sieved_search(F, bound, "cube")
+    if hit is None:
+        return None
+    x, y = hit
+    return _proj_normalize(x, y, cube_root_exact(F(x, y)))
 
 
 # --- local solvability ---
@@ -379,7 +355,8 @@ def local_prime_set(F: BinaryCubicForm, primes_max: int = 100) -> list[int]:
 
 def hasse_verdict(C: HomogeneousSpace, *, rep_bound: int = 1000,
                   global_bound: int = 10**4, primes_max: int = 100,
-                  effort: int = 24, enumerated: bool = False) -> Genus1Verdict:
+                  effort: int = 24, enumerated: bool = False,
+                  monic: MonicSearch | None = None) -> Genus1Verdict:
     """Classify C per the monic/non-monic dichotomy.
 
     Monic-representable classes get their constructive global point.  For
@@ -388,9 +365,15 @@ def hasse_verdict(C: HomogeneousSpace, *, rep_bound: int = 1000,
     class is known to come from the full enumeration for its discriminant
     (the certificate is conditional on the monic-dichotomy theorem, and
     the local evidence is recorded), else ViolationCandidate.
+
+    `monic` is the caller's monic_representative(C.form, rep_bound), when
+    it already has one; it is not searched for again.
     """
     F = C.form
-    rep = monic_representative(F, rep_bound)
+    if monic is not None and monic.bound != rep_bound:
+        raise InconsistentInputs(
+            f"monic search bound {monic.bound} != rep_bound {rep_bound}")
+    rep = monic if monic is not None else monic_representative(F, rep_bound)
     if rep.found:
         pq = (1, 0) if rep.status == "already_monic" else (rep.matrix[0][0], rep.matrix[1][0])
         point = _proj_normalize(pq[0], pq[1], 1)

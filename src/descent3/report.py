@@ -358,11 +358,12 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
 
     hasse = []
     if run_hasse:
-        for F in classes:
+        for F, rep in zip(classes, reps):
             C = HomogeneousSpace(F, seed)
             hasse.append(hasse_verdict(
                 C, rep_bound=rep_bound, global_bound=global_bound,
-                primes_max=primes_max, effort=effort, enumerated=True))
+                primes_max=primes_max, effort=effort, enumerated=True,
+                monic=rep))
 
     provenance = {
         "rep_bound": str(rep_bound),

@@ -9,7 +9,9 @@ reducing every form in a coefficient box.
 
 import random
 from fractions import Fraction
+from math import gcd
 
+from descent3.arith import iroot
 from descent3.errors import ReduciblePolynomial
 from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
                       act, add, disc, depress, hessian, in_lambda_image,
@@ -106,6 +108,24 @@ def oracle_local_verdict(F, p: int, budget: int = 20000):
         if not chart_solutions_exist(F, p, level):
             return "no", level
     return "yes", k
+
+
+# ---------------------------------------------------------------------------
+# point-search oracle: every cell of the box, exact tests, one sort
+
+def is_cube_value(v: int) -> bool:
+    r = iroot(abs(v), 3)
+    return r**3 == abs(v)
+
+
+def naive_first_point(F, bound: int, accept):
+    """First coprime (x, y) with |x|, |y| <= bound in the order
+    (max-norm, x, y) whose value F(x, y) passes accept, or None."""
+    hits = [(x, y) for y in range(-bound, bound + 1)
+            for x in range(-bound, bound + 1)
+            if gcd(x, y) == 1 and accept(F(x, y))]
+    hits.sort(key=lambda pq: (max(abs(pq[0]), abs(pq[1])), pq))
+    return hits[0] if hits else None
 
 
 # ---------------------------------------------------------------------------

@@ -124,3 +124,31 @@ def test_tables_mismatch_exit_3(monkeypatch, capsys):
     monkeypatch.setitem(tb.TABLE_4_STATS, "r3", 9)
     rc = main(["tables", "--which", "4"])
     assert rc == 3
+
+
+def test_torn_cache_line_is_skipped_and_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache.ndjson"
+    rc = main(["analyze", "--m", "1", "--n", "1", "--format", "json",
+               "--cache", str(cache)])
+    assert rc == 0
+    fresh = capsys.readouterr().out
+    line = cache.read_text().strip()
+    cache.write_text(line[: len(line) // 2])            # torn last write
+    rc = main(["analyze", "--m", "1", "--n", "1", "--format", "json",
+               "--cache", str(cache)])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert out == fresh
+    assert "skipping unreadable cache line 1" in err
+    assert "cache hit" not in err
+    assert cache.read_text().splitlines()[-1] == line   # recomputed, appended
+
+
+@pytest.mark.parametrize("argv", [["--m", "-2..2", "--n", "1..3"],
+                                  ["--m=-2..2", "--n=1..3"]])
+def test_scan_accepts_negative_range_both_spellings(argv, capsys):
+    rc = main(["scan", *argv, "--format", "csv"])
+    assert rc == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert rows[0].startswith("m,n,D")
+    assert any(r.startswith("-1,") for r in rows[1:])

@@ -143,3 +143,20 @@ def test_hasse_verdict_candidate_when_not_enumerated(classes_48035713):
     v = hasse_verdict(HomogeneousSpace(F, seed), enumerated=False,
                       global_bound=300)
     assert v.kind == "violation_candidate"
+
+
+def test_hasse_verdict_reuses_a_given_monic_search(classes_4897363,
+                                                   seed_m34_419, monkeypatch):
+    import descent3.genus1 as g1
+    from descent3 import monic_representative
+    from descent3.errors import InconsistentInputs
+    F = classes_4897363[8]                   # not monic within 10^3
+    C = HomogeneousSpace(F, seed_m34_419)
+    rep = monic_representative(F, 1000)
+    assert rep.status == "not_found"
+    plain = hasse_verdict(C, enumerated=True)
+    monkeypatch.setattr(g1, "monic_representative", None)   # must not be called
+    assert hasse_verdict(C, enumerated=True, monic=rep) == plain
+    assert plain.point == (1, 1, 2)
+    with pytest.raises(InconsistentInputs):
+        hasse_verdict(C, rep_bound=999, monic=rep)

@@ -309,3 +309,32 @@ def integer_roots_monic_cubic(A: int, B: int, C: int) -> list[int]:
         if r is not None and r not in roots:
             roots.append(r)
     return sorted(roots)
+
+
+# --- bit-packed residue sieve ---
+#
+# A window of consecutive integers lo .. lo + width - 1 is a Python int
+# whose bit i stands for lo + i.  An m-periodic residue pattern (bit s set
+# for the residues s mod m that may still hold a solution) is laid over
+# the window by tile_residues; ANDing several such masks is the sieve
+# (after Stoll's ratpoints), and bit_indices lists what survived.
+
+def tile_residues(pat: int, m: int, lo: int, width: int) -> int:
+    """The m-bit residue pattern `pat` laid over x = lo .. lo + width - 1:
+    bit i of the result is bit (lo + i) mod m of pat."""
+    k = lo % m
+    pat = ((pat >> k) | (pat << (m - k))) & ((1 << m) - 1)
+    n = m
+    while n < width:
+        pat |= pat << n
+        n *= 2
+    return pat & ((1 << width) - 1)
+
+
+def bit_indices(row: int, lo: int):
+    """lo + i for every set bit i of row, ascending."""
+    bits = bin(row)[:1:-1]                   # bit 0 first, '0b' dropped
+    i = bits.find("1")
+    while i != -1:
+        yield lo + i
+        i = bits.find("1", i + 1)

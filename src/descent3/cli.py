@@ -3,7 +3,8 @@
 Subcommands: analyze one seed or discriminant, scan a box of (m, n),
 regenerate the bundled tables, or inspect Hasse verdicts / form classes
 for a single discriminant.  Exit codes: 0 success, 2 invalid input,
-3 internal inconsistency or table mismatch.
+3 internal inconsistency or table mismatch, 4 a computation budget ran
+out (factoring gave up).
 """
 
 import argparse
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 from .arith import iroot
 from .cubicforms import enumerate_classes, monic_representative
-from .errors import InconsistencyError, ValidationError
+from .errors import (FactorizationBudgetExceeded, InconsistencyError,
+                     ValidationError)
 from .genus1 import HomogeneousSpace, hasse_verdict
 from .report import (build_report, report_csv_header, report_from_json,
                      report_to_csv, report_to_json)
@@ -101,6 +103,33 @@ def _seed_from_args(args):
 
 
 # --- cache ---
+#
+# A record is keyed on D and on the settings its provenance names, so a
+# report made under other bounds (or without Hasse verdicts) is a miss and
+# is recomputed, never replayed as if it answered this run.
+
+_SETTINGS = ("rep_bound", "point_bound", "global_bound", "primes_max",
+             "effort")
+
+
+def _report_kwargs(cfg: Config) -> dict:
+    return dict(rep_bound=cfg.rep_bound, point_bound=cfg.point_bound,
+                global_bound=cfg.global_bound, primes_max=cfg.primes_max,
+                effort=cfg.effort, run_hasse=cfg.run_hasse)
+
+
+def _cache_key(D: int, kwargs: dict) -> tuple:
+    """The key of a report on D made by build_report(**kwargs): D and the
+    settings spelled as the report's provenance spells them."""
+    return (D, *(str(kwargs[k]) for k in _SETTINGS),
+            "computed" if kwargs["run_hasse"] else "skipped")
+
+
+def _record_key(record: dict) -> tuple:
+    prov = record["provenance"]
+    return (int(record["seed"]["disc"]), *(prov[k] for k in _SETTINGS),
+            prov["hasse"])
+
 
 def _cache_load(path: str | None) -> dict:
     if not path:
@@ -113,7 +142,7 @@ def _cache_load(path: str | None) -> dict:
                 if not line:
                     continue
                 try:
-                    out[int(json.loads(line)["seed"]["disc"])] = line
+                    out[_record_key(json.loads(line))] = line
                 except (ValueError, KeyError, TypeError):
                     # a torn or foreign line: recompute rather than crash
                     print(f"warning: skipping unreadable cache line {lineno} "
@@ -154,15 +183,13 @@ def cmd_analyze(args) -> int:
     cfg = _config(args)
     seed = _seed_from_args(args)
     cache = _cache_load(cfg.cache)
-    if seed.D in cache:
+    kwargs = _report_kwargs(cfg)
+    key = _cache_key(seed.D, kwargs)
+    if key in cache:
         print(f"cache hit D = {seed.D}", file=sys.stderr)
-        rep = report_from_json(cache[seed.D])
+        rep = report_from_json(cache[key])
     else:
-        rep = build_report(seed, rep_bound=cfg.rep_bound,
-                           point_bound=cfg.point_bound,
-                           global_bound=cfg.global_bound,
-                           primes_max=cfg.primes_max, effort=cfg.effort,
-                           run_hasse=cfg.run_hasse)
+        rep = build_report(seed, **kwargs)
         _cache_append(cfg.cache, report_to_json(rep))
     _emit_report(rep, cfg.fmt, header=True)
     return 0
@@ -209,16 +236,15 @@ def cmd_scan(args) -> int:
     n_range = _parse_range(args.n_range)
     filters = [_parse_filter(f) for f in args.filter or ()]
     cache = _cache_load(cfg.cache)
-    kwargs = dict(rep_bound=cfg.rep_bound, point_bound=cfg.point_bound,
-                  global_bound=cfg.global_bound, primes_max=cfg.primes_max,
-                  effort=cfg.effort, run_hasse=cfg.run_hasse)
+    kwargs = _report_kwargs(cfg)
 
     seeds = list(seed_scan(m_range, n_range))
     todo, lines = [], {}
     for seed in seeds:
-        if seed.D in cache:
+        key = _cache_key(seed.D, kwargs)
+        if key in cache:
             print(f"cache hit D = {seed.D}", file=sys.stderr)
-            lines[(seed.m, seed.n)] = cache[seed.D]
+            lines[(seed.m, seed.n)] = cache[key]
         else:
             todo.append((seed.m, seed.n, kwargs))
 
@@ -360,6 +386,9 @@ def main(argv=None) -> int:
     except InconsistencyError as e:
         print(f"inconsistency: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except FactorizationBudgetExceeded as e:
+        print(f"budget: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

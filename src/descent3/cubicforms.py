@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import cube_root_exact, iroot, is_squarefree, rational_roots
+from .arith import (bit_indices, cube_root_exact, iroot, is_squarefree,
+                    rational_roots, tile_residues)
 from .errors import (DegenerateDiscriminant, DiscriminantMismatch,
                      CountNotOfExpectedShape, NotSquarefree, NotUnimodular,
                      ReducibleForm, ReduciblePolynomial, ZeroDiscriminant)
@@ -398,18 +399,6 @@ def _residue_patterns(F: BinaryCubicForm, m: int, allowed) -> list[int]:
     return pats
 
 
-def _tile(pat: int, m: int, lo: int, width: int) -> int:
-    """The m-periodic pattern laid over x = lo .. lo + width - 1, bit i
-    standing for x = lo + i."""
-    k = lo % m
-    pat = ((pat >> k) | (pat << (m - k))) & ((1 << m) - 1)
-    n = m
-    while n < width:
-        pat |= pat << n
-        n *= 2
-    return pat & ((1 << width) - 1)
-
-
 class _Sieve:
     """Residue patterns of one form for one target, built per modulus on
     first use (most rows die after a few moduli)."""
@@ -432,20 +421,14 @@ class _Sieve:
                 if ms is None:
                     if self.patterns[k] is None:
                         self.patterns[k] = _residue_patterns(F, m, self.allowed(m))
-                    ms = masks[k] = [_tile(p, m, lo, width) for p in self.patterns[k]]
+                    ms = masks[k] = [tile_residues(p, m, lo, width)
+                                     for p in self.patterns[k]]
                 row &= ms[y % m]
                 if not row:
                     break
-            if not row:
-                continue
-            bits = bin(row)                  # '0b1...', highest bit first
-            top = len(bits) - 1
-            i = bits.find("1", 2)
-            while i != -1:
-                x = lo + top - i
-                if gcd(x, y) == 1 and accept(F(x, y)):
-                    out.append((x, y))
-                i = bits.find("1", i + 1)
+            if row:
+                out.extend((x, y) for x in bit_indices(row, lo)
+                           if gcd(x, y) == 1 and accept(F(x, y)))
         return out
 
 

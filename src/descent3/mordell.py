@@ -17,7 +17,7 @@ image of lambda iff its psi'-value is a cube, and span_dim_mod_lambda /
 span_dim_mod_3 turn sets of points into F_3-dimensions of the groups
 E_D'(Q)/lambda(E_D(Q)) and E_D'(Q)/3E_D'(Q).
 
-All arithmetic is exact (Fraction coordinates, integit root isolation),
+All arithmetic is exact (Fraction coordinates, integer root isolation),
 so points with thousand-digit coordinates are fine.
 """
 
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import integer_roots_monic_cubic
+from .arith import (bit_indices, integer_roots_monic_cubic, iroot,
+                    tile_residues)
 from .errors import (CurveMismatch, DegenerateDenominator, KernelXZero,
                      OffCurve, PreimageMissing, TorsionImage, ZeroInput)
 from .quadfield import QuadElem, is_cube
@@ -256,6 +257,52 @@ def in_lambda_image(S: CurvePoint, D: int) -> bool:
 
 
 # --- monic lattice search ---
+#
+# Each lattice is a run of consecutive indices s on which 4s^3 - c must be
+# coef times a square; a survivor of the residue sieve only passed a
+# necessary condition and is always tried exactly.
+
+_MONIC_MODULI = (81, 64, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                 53, 59, 61)
+# indices sieved per bitmask: keeps memory flat for large bounds, and was
+# the fastest of 2^12 .. 2^20 on the scan-box seeds
+_MONIC_BLOCK = 1 << 16
+
+
+def _lattice_patterns(c: int, coef: int, prime_to_3: bool):
+    """(pattern, q) per sieve modulus: bit s is set when 4s^3 - c is
+    congruent to coef * t^2 mod q for some t (and, when prime_to_3 and
+    3 | q, when 3 does not divide s)."""
+    pats = []
+    for q in _MONIC_MODULI:
+        vals = {coef * t * t % q for t in range(q)}
+        drop3 = prime_to_3 and q % 3 == 0
+        pats.append((sum(1 << s for s in range(q)
+                         if (4 * s**3 - c) % q in vals
+                         and not (drop3 and s % 3 == 0)), q))
+    return pats
+
+
+def _sieve_range(pats, lo: int, hi: int):
+    """The s in lo..hi, ascending, set in every tiled pattern."""
+    for start in range(lo, hi + 1, _MONIC_BLOCK):
+        width = min(_MONIC_BLOCK, hi + 1 - start)
+        row = (1 << width) - 1
+        for pat, q in pats:
+            row &= tile_residues(pat, q, start, width)
+            if not row:
+                break
+        else:
+            yield from bit_indices(row, start)
+
+
+def _least_cube_index(c: int) -> int:
+    """The least integer s with 4s^3 >= c."""
+    if c <= 0:
+        return -iroot(-c // 4, 3)
+    r = iroot(-(-c // 4), 3)
+    return r if 4 * r**3 >= c else r + 1
+
 
 def search_monic_points(D: int, bound: int) -> list[CurvePoint]:
     """Points of E_D' from monic trinomials x^3 - mx + n of discriminant D.
@@ -263,10 +310,18 @@ def search_monic_points(D: int, bound: int) -> list[CurvePoint]:
     Two integer lattices, disjoint because 3 never divides M in the second:
       (i)  integral (m, n):   27 n^2 = 4 m^3 - D        -> (12m, +-108n)
       (ii) (m, n) = (M/3, N/27), 3 not | M:  N^2 = 4M^3 - 27D -> (4M, +-4N)
-    Scanned for |m| <= bound and |M| <= 3*bound, ascending."""
+    over |m| <= bound and |M| <= 3*bound.  Each range starts at the least
+    index whose right-hand side is >= 0 (found with iroot, exactly).
+
+    A residue sieve drops the indices whose right-hand side is not
+    27 * (a square), resp. a square (or M is divisible by 3), modulo
+    81, 64 and the primes 5..61; it discards only indices that cannot
+    be on a lattice.  Each survivor gets the exact isqrt test.  The
+    points come back sorted by (x, y)."""
     E2 = MordellCurve.e_d_prime(D)
     out = []
-    for m in range(-bound, bound + 1):
+    lo = max(-bound, _least_cube_index(D))
+    for m in _sieve_range(_lattice_patterns(D, 27, False), lo, bound):
         t = 4 * m**3 - D
         if t < 0 or t % 27:
             continue
@@ -276,7 +331,8 @@ def search_monic_points(D: int, bound: int) -> list[CurvePoint]:
             continue
         for s in ((n, -n) if n else (0,)):
             out.append(CurvePoint(E2, 12 * m, 108 * s))
-    for M in range(-3 * bound, 3 * bound + 1):
+    lo = max(-3 * bound, _least_cube_index(27 * D))
+    for M in _sieve_range(_lattice_patterns(27 * D, 1, True), lo, 3 * bound):
         if M % 3 == 0:
             continue
         t = 4 * M**3 - 27 * D
@@ -313,20 +369,12 @@ def span_dim_mod_lambda(points: list[CurvePoint], D: int) -> int:
 
     Incremental: a new point joins the basis unless some combination with
     the current basis dies in the quotient (psi'-value a cube)."""
-    return _span_dim(points, D, _trivial_mod_lambda)
+    return _span_dim(points, D, in_lambda_image)
 
 
 def span_dim_mod_3(points: list[CurvePoint], D: int) -> int:
     """dim of the image of the given E_D' points in E_D'(Q)/3E_D'(Q)."""
     return _span_dim(points, D, _trivial_mod_3)
-
-
-def _trivial_mod_lambda(S: CurvePoint, D: int) -> bool:
-    if S.infinite:
-        return True
-    if S.x == 0:
-        raise TorsionImage("X = 0")
-    return psi_prime(S, D).is_cube_class()
 
 
 def _trivial_mod_3(S: CurvePoint, D: int) -> bool:
@@ -336,7 +384,7 @@ def _trivial_mod_3(S: CurvePoint, D: int) -> bool:
     the (unique) preimage."""
     if S.infinite:
         return True
-    if not _trivial_mod_lambda(S, D):
+    if not in_lambda_image(S, D):
         return False
     P = lambda_preimage(S, D)
     if P is None:

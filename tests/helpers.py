@@ -9,7 +9,7 @@ reducing every form in a coefficient box.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from descent3.arith import iroot
 from descent3.errors import ReduciblePolynomial
@@ -126,6 +126,37 @@ def naive_first_point(F, bound: int, accept):
             if gcd(x, y) == 1 and accept(F(x, y))]
     hits.sort(key=lambda pq: (max(abs(pq[0]), abs(pq[1])), pq))
     return hits[0] if hits else None
+
+
+def naive_monic_points(D: int, bound: int):
+    """The monic lattice points of E_D' by walking both lattices one index
+    at a time: (12m, +-108n) with 27n^2 = 4m^3 - D, |m| <= bound, and
+    (4M, +-4N) with N^2 = 4M^3 - 27D, 3 not | M, |M| <= 3*bound; sorted."""
+    E2 = MordellCurve.e_d_prime(D)
+    out = []
+    for m in range(-bound, bound + 1):
+        t = 4 * m**3 - D
+        if t < 0 or t % 27:
+            continue
+        n2 = t // 27
+        n = isqrt(n2)
+        if n * n != n2:
+            continue
+        for s in ((n, -n) if n else (0,)):
+            out.append(CurvePoint(E2, 12 * m, 108 * s))
+    for M in range(-3 * bound, 3 * bound + 1):
+        if M % 3 == 0:
+            continue
+        t = 4 * M**3 - 27 * D
+        if t < 0:
+            continue
+        N = isqrt(t)
+        if N * N != t:
+            continue
+        for s in ((N, -N) if N else (0,)):
+            out.append(CurvePoint(E2, 4 * M, 4 * s))
+    out.sort(key=lambda P: (P.x, P.y))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -152,3 +152,39 @@ def test_scan_accepts_negative_range_both_spellings(argv, capsys):
     rows = capsys.readouterr().out.strip().splitlines()
     assert rows[0].startswith("m,n,D")
     assert any(r.startswith("-1,") for r in rows[1:])
+
+
+def test_cache_misses_a_report_made_under_other_settings(tmp_path, capsys):
+    cache = tmp_path / "cache.ndjson"
+    base = ["analyze", "--m", "1", "--n", "1", "--format", "json",
+            "--cache", str(cache)]
+    assert main([*base, "--no-hasse"]) == 0
+    skipped = json.loads(capsys.readouterr().out)
+    assert skipped["provenance"]["hasse"] == "skipped"
+
+    assert main([*base, "--bound-monic", "7"]) == 0
+    out, err = capsys.readouterr()
+    assert "cache hit" not in err
+    prov = json.loads(out)["provenance"]
+    assert (prov["hasse"], prov["point_bound"]) == ("computed", "7")
+    assert len(cache.read_text().splitlines()) == 2    # both kept
+
+    assert main([*base, "--bound-monic", "7"]) == 0    # same settings: hit
+    out, err = capsys.readouterr()
+    assert "cache hit D = -23" in err
+    assert json.loads(out)["provenance"] == prov
+    assert len(cache.read_text().splitlines()) == 2
+
+
+def test_factorization_budget_exit_4(monkeypatch, capsys):
+    import descent3.report as report
+    from descent3.errors import FactorizationBudgetExceeded
+
+    def give_up(n, budget=10**6):
+        raise FactorizationBudgetExceeded(f"gave up factoring {n}")
+
+    # the class-group cross-check factors the class number (3 for D = -23)
+    monkeypatch.setattr(report, "factorize", give_up)
+    rc = main(["analyze", "--m", "1", "--n", "1"])
+    assert rc == 4
+    assert "FactorizationBudgetExceeded" in capsys.readouterr().err

@@ -1,10 +1,11 @@
-"""The exact residue-sieved point search against a scan of every cell."""
+"""The exact residue-sieved point searches against a scan of every cell."""
 
 import random
 
 import helpers
 from descent3 import (BinaryCubicForm, HomogeneousSpace, act, disc,
-                      global_search, is_irreducible, monic_representative)
+                      global_search, is_irreducible, make_seed,
+                      monic_representative, search_monic_points)
 from descent3.cubicforms import _sieved_search
 
 ACCEPT = {"cube": helpers.is_cube_value, "unit": lambda v: v == 1}
@@ -82,3 +83,68 @@ def test_global_search_far_point_pinned():
     # the hit (-196, 39) lies in the last doubling radius before the bound
     C = HomogeneousSpace(BinaryCubicForm(37, -42, 70, -9))
     assert global_search(C, 10**4) == (841, -983, 4886)
+
+
+# --- the monic lattice search on E_D' against a walk over every index ---
+
+def _coords(points):
+    return [(P.x, P.y) for P in points]
+
+
+def _assert_monic_matches(D, bound):
+    got = search_monic_points(D, bound)
+    assert _coords(got) == _coords(helpers.naive_monic_points(D, bound)), \
+        (D, bound)
+    return len(got)
+
+
+def test_monic_sieve_matches_naive_walk_on_random_discriminants():
+    rng = random.Random(2718)
+    found = 0
+    for i in range(400):
+        D = rng.choice((-1, 1)) * rng.randint(1, 10**7)
+        found += _assert_monic_matches(D, i % 301)
+    assert found >= 10, found
+
+
+def test_monic_sieve_keeps_planted_points_at_the_box_edge():
+    rng = random.Random(31)
+    for i in range(60):
+        # lattice (i): 27k^2 = 4m^3 - D, visible from bound |m| on; k = 0
+        # puts the point on the lower cutoff itself (4m^3 = D)
+        m, k = rng.randint(-400, 400), rng.randint(0, 500) if i % 4 else 0
+        D = 4 * m**3 - 27 * k * k
+        if D:
+            counts = [_assert_monic_matches(D, bound)
+                      for bound in (abs(m) - 1, abs(m), abs(m) + 1)]
+            assert counts[1] >= 1
+        # lattice (ii): N^2 = 4M^3 - 27D, 3 not | M, visible from 3*bound >= |M|
+        M, N = 0, 1
+        while M % 3 == 0 or (4 * M**3 - N * N) % 27:
+            M, N = rng.randint(-400, 400), rng.randint(0, 500)
+        D = (4 * M**3 - N * N) // 27
+        if D:
+            edge = -(-abs(M) // 3)
+            counts = [_assert_monic_matches(D, bound)
+                      for bound in (edge - 1, edge, edge + 1)]
+            assert counts[1] >= 1
+
+
+def test_monic_sieve_exact_cutoff_for_huge_discriminants():
+    # for D near 10^13 the least m with 4m^3 >= D is 13573 and the least M
+    # with 4M^3 >= 27D is 40717..40719: bound 13572 leaves both ranges
+    # empty, bound 13573 one-sided ones; for D near -10^13 the cutoffs
+    # (-13572, -40716..-40718) fall inside the box at bound 14000
+    m0 = 13573
+    for D in (10**13 + 1, 10**13 - 27, 4 * m0**3 - 27 * 9**2,
+              4 * m0**3 - 27 * 4000**2, -(10**13) + 7, -(4 * m0**3) + 27):
+        for bound in (0, m0 - 1, m0, m0 + 1, 14000):
+            _assert_monic_matches(D, bound)
+    assert _assert_monic_matches(4 * m0**3 - 27 * 9**2, m0) == 2
+
+
+def test_monic_sieve_on_bench_anchors():
+    counts = {}
+    for m, n in ((-34, 419), (229, 3), (1, 1), (7, 3)):
+        counts[m, n] = _assert_monic_matches(make_seed(m, n).D, 10**5)
+    assert counts == {(-34, 419): 22, (229, 3): 2, (1, 1): 10, (7, 3): 2}

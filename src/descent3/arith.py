@@ -1,11 +1,13 @@
-"""Exact integer arithmetic helpers: roots, squarefree tests, cubic residues.
+"""Exact integer arithmetic helpers: roots, squarefree tests, cubic residues,
+extended gcd, and the bit-packed residue sieves.
 
-Everything here is exact; floats appear only as starting guesses for integer
-Newton iterations and every result is verified by integer arithmetic before it
-is returned.
+Everything here is integer (or Fraction) arithmetic.  The Newton iteration
+in iroot starts from the power of two 2^ceil(bits/k), and every sieve
+survivor is checked exactly before it is returned.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import sympy
@@ -203,6 +205,18 @@ def is_cubic_residue(y: int, l: int) -> bool:
     return pow(y, (l - 1) // 3, l) == 1
 
 
+def xgcd(a: int, b: int):
+    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
 # --- polynomial root extraction ---
 
 def _horner(coeffs_desc, x):
@@ -338,3 +352,71 @@ def bit_indices(row: int, lo: int):
     while i != -1:
         yield lo + i
         i = bits.find("1", i + 1)
+
+
+# --- integral points on coef * t^2 = 4s^3 - c ---
+#
+# The monic lattices of E_D' and the Hessian syzygy of binary cubic forms
+# both ask for the s in a run of consecutive integers at which 4s^3 - c is
+# coef times a square.  A survivor of the residue sieve only passed a
+# necessary condition and is always checked exactly.
+
+_CUBIC_SQUARE_MODULI = (81, 64, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                        43, 47, 53, 59, 61)
+# indices sieved per bitmask: keeps memory flat for long ranges, and was
+# the fastest of 2^12 .. 2^20 on the monic lattices of the scan-box seeds
+_CUBIC_SQUARE_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _cubic_square_pattern(q: int, c: int, coef: int, prime_to_3: bool) -> int:
+    """The q-bit pattern whose bit s is set when 4s^3 - c is congruent to
+    coef * t^2 mod q for some t (and, when prime_to_3 and 3 | q, when 3
+    does not divide s).  c and coef are residues mod q, so the cache holds
+    at most a few thousand patterns."""
+    vals = {coef * t * t % q for t in range(q)}
+    drop3 = prime_to_3 and q % 3 == 0
+    return sum(1 << s for s in range(q)
+               if (4 * s**3 - c) % q in vals and not (drop3 and s % 3 == 0))
+
+
+def _least_cube_index(c: int) -> int:
+    """The least integer s with 4s^3 >= c."""
+    if c <= 0:
+        return -iroot(-c // 4, 3)
+    r = iroot(-(-c // 4), 3)
+    return r if 4 * r**3 >= c else r + 1
+
+
+def cubic_square_points(c: int, coef: int, lo: int, hi: int,
+                        prime_to_3: bool = False):
+    """The integral points (s, t), t >= 0, of coef * t^2 = 4s^3 - c with
+    lo <= s <= hi (and 3 not dividing s when prime_to_3), s ascending.
+
+    The range starts at the least s with 4s^3 >= c, found exactly with
+    iroot.  Residue patterns modulo 81, 64 and the primes 5..61, tiled
+    over blocks of consecutive s and ANDed (after Stoll's ratpoints),
+    drop the s at which 4s^3 - c is not coef times a square modulo some
+    modulus; they discard only s that cannot be on the curve.  Every
+    survivor gets the exact isqrt test."""
+    pats = [(_cubic_square_pattern(q, c % q, coef % q, prime_to_3), q)
+            for q in _CUBIC_SQUARE_MODULI]
+    lo = max(lo, _least_cube_index(c))
+    for start in range(lo, hi + 1, _CUBIC_SQUARE_BLOCK):
+        width = min(_CUBIC_SQUARE_BLOCK, hi + 1 - start)
+        row = (1 << width) - 1
+        for pat, q in pats:
+            row &= tile_residues(pat, q, start, width)
+            if not row:
+                break
+        else:
+            for s in bit_indices(row, start):
+                if prime_to_3 and s % 3 == 0:
+                    continue
+                v = 4 * s**3 - c
+                if v % coef:
+                    continue
+                v //= coef
+                t = isqrt(v)
+                if t * t == v:
+                    yield s, t

@@ -5,6 +5,19 @@ forms with squarefree discriminant D biject with cubic fields of
 discriminant D, so enumerate_classes(D) is how the 3-rank of Q(sqrt(D))
 gets counted downstream.
 
+Enumeration goes through the syzygy 4H^3 = G^2 + 27 D F^2 between a form
+F, its Hessian H and its cubic covariant G.  At (1, 0) it reads
+
+    4P^3 - 27 D a^2 = G^2,   P = b^2 - 3ac,   G = 2b^3 - 9abc + 27a^2 d,
+
+so for each leading coefficient a the candidates come from the integral
+points (P, G) of one Mordell-type curve (after Belabas, "A fast algorithm
+to compute cubic fields", 1997).  P runs over the exact range that the
+reduction bounds on (a, b, c) allow; a residue sieve drops the P at which
+4P^3 - 27Da^2 cannot be a square, and each survivor is checked with isqrt.
+Every (P, G) then gives c and d for each admissible b by two exact
+divisions (candidate_forms).
+
 Reduction splits on the sign of the discriminant:
 
 * disc > 0: the Hessian (b^2-3ac, bc-9ad, c^2-3bd) is positive definite;
@@ -15,19 +28,21 @@ Reduction splits on the sign of the discriminant:
   the class has a unique representative (up to sign) whose complex root
   xi lies in the classical fundamental domain |Re xi| <= 1/2 <= |xi|.
   Because theta is irrational for irreducible F, xi never lands on the
-  boundary and every domain test reduces to the sign of F at one rational
-  point, keeping the whole walk exact.
+  boundary and every domain test is the sign of the integer F(n, q) at
+  one integer pair with q > 0, so the walk uses integers only.
 
 Both branches are wrapped over GL2 by also canonicalizing F(x,-y) and
-taking the lexicographic minimum.
+taking the lexicographic minimum.  Irreducibility is decided by integer
+root isolation on a monic cubic, without factoring.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import (bit_indices, cube_root_exact, iroot, is_squarefree,
-                    rational_roots, tile_residues)
+from .arith import (bit_indices, cube_root_exact, cubic_square_points,
+                    integer_roots_monic_cubic, iroot, is_squarefree,
+                    rational_roots, tile_residues, xgcd)
 from .errors import (DegenerateDiscriminant, DiscriminantMismatch,
                      CountNotOfExpectedShape, NotSquarefree, NotUnimodular,
                      ReducibleForm, ReduciblePolynomial, ZeroDiscriminant)
@@ -118,10 +133,15 @@ def act(F: BinaryCubicForm, M) -> BinaryCubicForm:
 
 
 def is_irreducible(F: BinaryCubicForm) -> bool:
-    """No rational zero in P^1, i.e. no linear factor over Q."""
-    if F.a == 0 or F.d == 0:
+    """No rational zero in P^1, i.e. no linear factor over Q.
+
+    A rational root x of F(x, 1) makes a*x an integer root of the monic
+    X^3 + bX^2 + acX + a^2 d (that is a^2 F(X/a, 1)), so integer root
+    isolation decides it without factoring any coefficient."""
+    a, b, c, d = F.coeffs()
+    if a == 0 or d == 0:
         return False
-    return not rational_roots([F.d, F.c, F.b, F.a])
+    return not integer_roots_monic_cubic(b, a * c, a * a * d)
 
 
 def _check_reducible(F: BinaryCubicForm):
@@ -156,55 +176,57 @@ def reduce_posdef(q: QuadraticForm):
 
 
 # --- exact real-root comparisons (used when disc(F) < 0) ---
+#
+# For a > 0 and n/q with q > 0, F(n, q) = q^3 F(n/q, 1) has the sign of
+# n/q - theta (theta the real root of F(x, 1)), and it is never 0 because
+# theta is irrational for irreducible F.  Every comparison below is the
+# sign of F at one integer pair.
 
-def _eval1(F: BinaryCubicForm, r: Fraction):
-    return ((F.a * r + F.b) * r + F.c) * r + F.d
+def _u_gt(F: BinaryCubicForm, two_s: int) -> bool:
+    """Re(xi) > two_s/2, where xi is the complex root of F(x,1) and a > 0.
 
-
-def _u_gt(F: BinaryCubicForm, s: Fraction) -> bool:
-    """Re(xi) > s, where xi is the complex root of F(x,1) and a > 0.
-
-    Re(xi) = -(b/a + theta)/2 and r > theta iff F(r) > 0, so this is one
-    exact sign evaluation.  Equality cannot occur (theta irrational)."""
-    r = Fraction(-F.b, F.a) - 2 * s
-    return _eval1(F, r) > 0
+    Re(xi) = -(b/a + theta)/2, so this says r = -b/a - two_s > theta,
+    i.e. F(-b - a*two_s, a) > 0."""
+    return F(-F.b - F.a * two_s, F.a) > 0
 
 
 def _q_gt_one(F: BinaryCubicForm) -> bool:
-    """|xi|^2 > 1.  |xi|^2 = -d/(a*theta) and sign(theta) = -sign(d)."""
-    v = _eval1(F, Fraction(-F.d, F.a))
+    """|xi|^2 > 1.  |xi|^2 = -d/(a*theta) and sign(theta) = -sign(d), so
+    this compares -d/a with theta through the sign of F(-d, a)."""
+    v = F(-F.d, F.a)
     return v > 0 if F.d < 0 else v < 0
 
 
-def _theta_mid(F: BinaryCubicForm) -> Fraction:
-    """Rational approximation of the real root theta, within 1/8."""
-    lo, hi = None, None
-    if _eval1(F, Fraction(0)) > 0:
-        step = 1
-        while _eval1(F, Fraction(-step)) > 0:
-            step *= 2
-        lo, hi = Fraction(-step), Fraction(-step // 2 if step > 1 else 0)
+def _theta_floor8(F: BinaryCubicForm) -> int:
+    """floor(8 theta): the largest n with F(n, 8) < 0, by doubling away
+    from 0 and then integer bisection."""
+    if F(0, 8) > 0:
+        lo, hi = -1, 0
+        while F(lo, 8) > 0:
+            lo, hi = 2 * lo, lo
     else:
-        step = 1
-        while _eval1(F, Fraction(step)) < 0:
-            step *= 2
-        lo, hi = Fraction(step // 2 if step > 1 else 0), Fraction(step)
-    while hi - lo > Fraction(1, 8):
-        mid = (lo + hi) / 2
-        if _eval1(F, mid) > 0:
+        lo, hi = 0, 1
+        while F(hi, 8) < 0:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if F(mid, 8) > 0:
             hi = mid
         else:
             lo = mid
-    return (lo + hi) / 2
+    return lo
 
 
 def _round_u(F: BinaryCubicForm) -> int:
-    """Nearest integer to Re(xi); never a tie."""
-    u_est = -(Fraction(F.b, F.a) + _theta_mid(F)) / 2
-    k = round(u_est)
-    while not _u_gt(F, Fraction(2 * k - 1, 2)):   # need u > k - 1/2
+    """Nearest integer to Re(xi); never a tie.  theta ~ (2t + 1)/16 with
+    t = floor(8 theta) gives a first guess, which the exact comparisons
+    then move to the k with k - 1/2 < Re(xi) <= k + 1/2."""
+    a, b = F.a, F.b
+    t = _theta_floor8(F)
+    k = (16 * a - 16 * b - (2 * t + 1) * a) // (32 * a)
+    while not _u_gt(F, 2 * k - 1):                # need u > k - 1/2
         k -= 1
-    while _u_gt(F, Fraction(2 * k + 1, 2)):       # need u <= k + 1/2
+    while _u_gt(F, 2 * k + 1):                    # need u <= k + 1/2
         k += 1
     return k
 
@@ -233,14 +255,19 @@ def _canonical_sl2_pos(F: BinaryCubicForm) -> BinaryCubicForm:
     return G if G.a > 0 else -G
 
 
-def reduce(F: BinaryCubicForm) -> BinaryCubicForm:
-    """Canonical representative of the GL2(Z)-class of F.  Positive leading
-    coefficient; ties between the two SL2-sheets broken lexicographically."""
-    _check_reducible(F)
+def _canonical(F: BinaryCubicForm) -> BinaryCubicForm:
+    """reduce without the discriminant and irreducibility checks."""
     branch = _canonical_sl2_pos if disc(F) > 0 else _canonical_sl2_neg
     c1 = branch(F)
     c2 = branch(act(F, _J))
     return min(c1, c2, key=lambda G: G.coeffs())
+
+
+def reduce(F: BinaryCubicForm) -> BinaryCubicForm:
+    """Canonical representative of the GL2(Z)-class of F.  Positive leading
+    coefficient; ties between the two SL2-sheets broken lexicographically."""
+    _check_reducible(F)
+    return _canonical(F)
 
 
 def equivalent(F: BinaryCubicForm, G: BinaryCubicForm) -> bool:
@@ -252,63 +279,65 @@ def equivalent(F: BinaryCubicForm, G: BinaryCubicForm) -> bool:
 
 
 # --- complete enumeration by discriminant ---
+#
+# Candidates come from the points (P, G) of 4P^3 - 27Da^2 = G^2, one curve
+# per leading coefficient a (see the module docstring).
 
-def _d_solutions(a: int, Bd: int, Cd: int):
-    """Integer roots of 27a^2 d^2 + Bd*d + Cd = 0."""
-    A2 = 27 * a * a
-    dd = Bd * Bd - 4 * A2 * Cd
-    if dd < 0:
-        return
-    s = isqrt(dd)
-    if s * s != dd:
-        return
-    for sg in ((s, -s) if s else (0,)):
-        num = -Bd + sg
-        if num % (2 * A2) == 0:
-            yield num // (2 * A2)
-
-
-def _candidates_pos(D: int):
-    """Forms (a>0,b,c,d) of discriminant D > 0 covering every class: bounds
-    follow from the reduced positive-definite Hessian (P,Q,R):
-    P <= sqrt(D), 4P^3 >= 27Da^2 (syzygy at (1,0)), b^2 <= P + 3a|b|
-    (from 9a^2 R = P^2 - P b^2 + 3abQ with R >= P >= |Q|)."""
-    sq = isqrt(D)
-    amax = isqrt(max(4 * sq // 27, 1)) + 1
-    for a in range(1, amax + 1):
-        pmin = max(1, iroot(27 * D * a * a // 4, 3) - 1)
-        bmax = (3 * a + isqrt(9 * a * a + 4 * sq)) // 2 + 1
-        for b in range(-bmax, bmax + 1):
-            plo = max(pmin, b * b - 3 * a * abs(b))
-            if plo > sq:
-                continue
-            chi = (b * b - plo) // (3 * a)
-            clo = -((sq - b * b) // (3 * a))
-            b3 = 4 * b**3
-            for c in range(clo, chi + 1):
-                Bd = b3 - 18 * a * b * c
-                Cd = D + 4 * a * c**3 - b * b * c * c
-                for d in _d_solutions(a, Bd, Cd):
-                    yield BinaryCubicForm(a, b, c, d)
+def _forms_at(a: int, b: int, P: int, G: int):
+    """The forms (a, b, c, d) with b^2 - 3ac = P and cubic covariant
+    +-G at (1, 0); c must be integral (3a | b^2 - P)."""
+    c = (b * b - P) // (3 * a)
+    base = 9 * a * b * c - 2 * b**3
+    A27 = 27 * a * a
+    for g in ((G, -G) if G else (0,)):
+        if (base + g) % A27 == 0:
+            yield BinaryCubicForm(a, b, c, (base + g) // A27)
 
 
-def _candidates_neg(D: int):
-    """Forms of discriminant D < 0 covering every class: bounds follow from
-    the fundamental-domain representative (a <= (16|D|/27)^(1/4),
-    |b| <= 3a/2 + (|D|/3)^(1/4), |c| <= (|D|/4a)^(1/3) + 3a/4 + (|D|/3)^(1/4))."""
-    Dm = -D
-    amax = iroot(16 * Dm // 27, 4) + 1
-    t4 = iroot(Dm // 3, 4) + 1
-    for a in range(1, amax + 1):
-        bmax = (3 * a) // 2 + t4 + 1
-        cmax = iroot(Dm // (4 * a), 3) + a + t4 + 2
-        for b in range(-bmax, bmax + 1):
-            b3 = 4 * b**3
-            for c in range(-cmax, cmax + 1):
-                Bd = b3 - 18 * a * b * c
-                Cd = D + 4 * a * c**3 - b * b * c * c
-                for d in _d_solutions(a, Bd, Cd):
-                    yield BinaryCubicForm(a, b, c, d)
+def candidate_forms(D: int):
+    """Forms (a > 0, b, c, d) of discriminant D covering every class.
+
+    D > 0: the reduced positive-definite Hessian (P, Q, R) gives
+    P <= sqrt(D), 4P^3 >= 27Da^2 (the syzygy) and b^2 <= P + 3a|b| (from
+    9a^2 R = P^2 - P b^2 + 3abQ with R >= P >= |Q|).  So P runs from the
+    least P with 4P^3 >= 27Da^2 to isqrt(D), and b over |b| <= bmax with
+    P >= b^2 - 3a|b|.
+
+    D < 0: the fundamental-domain representative has a <= (16|D|/27)^(1/4),
+    |b| <= 3a/2 + (|D|/3)^(1/4) and |c| <= cmax = (|D|/4a)^(1/3) + 3a/4
+    + (|D|/3)^(1/4).  So P runs from max(-3a*cmax, the least P with
+    4P^3 >= 27Da^2) to bmax^2 + 3a*cmax, and b over |b| <= bmax with
+    |b^2 - P| <= 3a*cmax.
+
+    For each survivor (P, G) of the sieve, a b with b^2 = P (mod 3a)
+    gives c = (b^2 - P)/(3a) and d = (9abc - 2b^3 +- G)/(27a^2) when that
+    is integral, once per sign of G.  The candidates are exactly the forms
+    of discriminant D in the (a, b, c) box these bounds describe, with
+    the same multiplicities as a walk over that box."""
+    if D > 0:
+        sq = isqrt(D)
+        amax = isqrt(max(4 * sq // 27, 1)) + 1
+        for a in range(1, amax + 1):
+            bmax = (3 * a + isqrt(9 * a * a + 4 * sq)) // 2 + 1
+            for P, G in cubic_square_points(27 * D * a * a, 1, 1, sq):
+                for b in range(-bmax, bmax + 1):
+                    r = b * b - P
+                    if r % (3 * a) == 0 and r <= 3 * a * abs(b):
+                        yield from _forms_at(a, b, P, G)
+    else:
+        Dm = -D
+        amax = iroot(16 * Dm // 27, 4) + 1
+        t4 = iroot(Dm // 3, 4) + 1
+        for a in range(1, amax + 1):
+            bmax = (3 * a) // 2 + t4 + 1
+            cmax = iroot(Dm // (4 * a), 3) + a + t4 + 2
+            span = 3 * a * cmax
+            for P, G in cubic_square_points(27 * D * a * a, 1, -span,
+                                            bmax * bmax + span):
+                for b in range(-bmax, bmax + 1):
+                    r = b * b - P
+                    if r % (3 * a) == 0 and abs(r) <= span:
+                        yield from _forms_at(a, b, P, G)
 
 
 def _validate_enum_disc(D: int):
@@ -324,15 +353,14 @@ def enumerate_classes(D: int) -> list[BinaryCubicForm]:
     """All GL2(Z)-classes of irreducible integral binary cubic forms of
     discriminant exactly D, as canonical representatives, sorted.  The count
     must come out as (3^r - 1)/2 (anything else is an enumeration bug or a
-    non-fundamental input)."""
+    non-fundamental input).  Each candidate is tested for irreducibility
+    once and then reduced without repeating the test."""
     _validate_enum_disc(D)
     reps = {}
-    gen = _candidates_pos(D) if D > 0 else _candidates_neg(D)
-    for F in gen:
-        if disc(F) != D or not is_irreducible(F):
-            continue
-        R = reduce(F)
-        reps[R.coeffs()] = R
+    for F in candidate_forms(D):
+        if is_irreducible(F):
+            R = _canonical(F)
+            reps[R.coeffs()] = R
     classes = sorted(reps.values(), key=lambda f: f.coeffs())
     twice1 = 2 * len(classes) + 1
     r = 0
@@ -344,17 +372,6 @@ def enumerate_classes(D: int) -> list[BinaryCubicForm]:
 
 
 # --- monic representability and depression ---
-
-def _xgcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
 
 @dataclass(frozen=True)
 class MonicSearch:
@@ -474,7 +491,7 @@ def monic_representative(F: BinaryCubicForm, bound: int) -> MonicSearch:
     if hit is None:
         return MonicSearch('not_found', None, None, bound)
     p, q = hit
-    g, x0, y0 = _xgcd(p, q)
+    g, x0, y0 = xgcd(p, q)
     assert g == 1 and F(p, q) == 1
     M = ((p, -y0), (q, x0))
     G = act(F, M)

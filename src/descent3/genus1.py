@@ -308,7 +308,7 @@ def locally_solvable(C: HomogeneousSpace, p, effort: int = 24):
     'no' is exhaustive: every residue branch of P^1(Z_p) was ruled out.
     """
     F = C.form
-    if p == REAL_PLACE or p == float("inf"):
+    if p == REAL_PLACE:
         # odd degree in x: G(x, 1) takes a nonzero value, cube root real
         for x in range(0, 5):
             if F(x, 1) != 0:

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import (bit_indices, integer_roots_monic_cubic, iroot,
-                    tile_residues)
+from .arith import cubic_square_points, integer_roots_monic_cubic
 from .errors import (CurveMismatch, DegenerateDenominator, KernelXZero,
                      OffCurve, PreimageMissing, TorsionImage, ZeroInput)
 from .quadfield import QuadElem, is_cube
@@ -257,52 +256,6 @@ def in_lambda_image(S: CurvePoint, D: int) -> bool:
 
 
 # --- monic lattice search ---
-#
-# Each lattice is a run of consecutive indices s on which 4s^3 - c must be
-# coef times a square; a survivor of the residue sieve only passed a
-# necessary condition and is always tried exactly.
-
-_MONIC_MODULI = (81, 64, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61)
-# indices sieved per bitmask: keeps memory flat for large bounds, and was
-# the fastest of 2^12 .. 2^20 on the scan-box seeds
-_MONIC_BLOCK = 1 << 16
-
-
-def _lattice_patterns(c: int, coef: int, prime_to_3: bool):
-    """(pattern, q) per sieve modulus: bit s is set when 4s^3 - c is
-    congruent to coef * t^2 mod q for some t (and, when prime_to_3 and
-    3 | q, when 3 does not divide s)."""
-    pats = []
-    for q in _MONIC_MODULI:
-        vals = {coef * t * t % q for t in range(q)}
-        drop3 = prime_to_3 and q % 3 == 0
-        pats.append((sum(1 << s for s in range(q)
-                         if (4 * s**3 - c) % q in vals
-                         and not (drop3 and s % 3 == 0)), q))
-    return pats
-
-
-def _sieve_range(pats, lo: int, hi: int):
-    """The s in lo..hi, ascending, set in every tiled pattern."""
-    for start in range(lo, hi + 1, _MONIC_BLOCK):
-        width = min(_MONIC_BLOCK, hi + 1 - start)
-        row = (1 << width) - 1
-        for pat, q in pats:
-            row &= tile_residues(pat, q, start, width)
-            if not row:
-                break
-        else:
-            yield from bit_indices(row, start)
-
-
-def _least_cube_index(c: int) -> int:
-    """The least integer s with 4s^3 >= c."""
-    if c <= 0:
-        return -iroot(-c // 4, 3)
-    r = iroot(-(-c // 4), 3)
-    return r if 4 * r**3 >= c else r + 1
-
 
 def search_monic_points(D: int, bound: int) -> list[CurvePoint]:
     """Points of E_D' from monic trinomials x^3 - mx + n of discriminant D.
@@ -310,37 +263,19 @@ def search_monic_points(D: int, bound: int) -> list[CurvePoint]:
     Two integer lattices, disjoint because 3 never divides M in the second:
       (i)  integral (m, n):   27 n^2 = 4 m^3 - D        -> (12m, +-108n)
       (ii) (m, n) = (M/3, N/27), 3 not | M:  N^2 = 4M^3 - 27D -> (4M, +-4N)
-    over |m| <= bound and |M| <= 3*bound.  Each range starts at the least
-    index whose right-hand side is >= 0 (found with iroot, exactly).
-
-    A residue sieve drops the indices whose right-hand side is not
-    27 * (a square), resp. a square (or M is divisible by 3), modulo
-    81, 64 and the primes 5..61; it discards only indices that cannot
-    be on a lattice.  Each survivor gets the exact isqrt test.  The
-    points come back sorted by (x, y)."""
+    over |m| <= bound and |M| <= 3*bound.  Each is a curve
+    coef * t^2 = 4s^3 - c, searched by arith.cubic_square_points: the
+    range starts at the least index whose right-hand side is >= 0, a
+    residue sieve drops only indices that cannot be on the curve, and
+    each survivor gets the exact isqrt test.  The points come back
+    sorted by (x, y)."""
     E2 = MordellCurve.e_d_prime(D)
     out = []
-    lo = max(-bound, _least_cube_index(D))
-    for m in _sieve_range(_lattice_patterns(D, 27, False), lo, bound):
-        t = 4 * m**3 - D
-        if t < 0 or t % 27:
-            continue
-        n2 = t // 27
-        n = isqrt(n2)
-        if n * n != n2:
-            continue
+    for m, n in cubic_square_points(D, 27, -bound, bound):
         for s in ((n, -n) if n else (0,)):
             out.append(CurvePoint(E2, 12 * m, 108 * s))
-    lo = max(-3 * bound, _least_cube_index(27 * D))
-    for M in _sieve_range(_lattice_patterns(27 * D, 1, True), lo, 3 * bound):
-        if M % 3 == 0:
-            continue
-        t = 4 * M**3 - 27 * D
-        if t < 0:
-            continue
-        N = isqrt(t)
-        if N * N != t:
-            continue
+    for M, N in cubic_square_points(27 * D, 1, -3 * bound, 3 * bound,
+                                    prime_to_3=True):
         for s in ((N, -N) if N else (0,)):
             out.append(CurvePoint(E2, 4 * M, 4 * s))
     out.sort(key=lambda P: (P.x, P.y))

@@ -20,9 +20,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, is_squarefree
+from .arith import factorize, is_squarefree, xgcd
 from .cubicforms import (BinaryCubicForm, depress, enumerate_classes,
-                         monic_representative, point_from_depressed, _xgcd)
+                         monic_representative, point_from_depressed)
 from .errors import (ExcludedDiscriminant, InconsistencyError,
                      InconsistentInputs, PositiveDiscriminant)
 from .genus1 import Genus1Verdict, HomogeneousSpace, hasse_verdict
@@ -107,8 +107,8 @@ def _qf_compose(f1, f2, D):
     a1, b1, c1 = f1
     a2, b2, c2 = f2
     beta = (b1 + b2) // 2
-    g, x1, y1 = _xgcd(a1, a2)
-    d1, x2, w = _xgcd(g, beta)
+    g, x1, y1 = xgcd(a1, a2)
+    d1, x2, w = xgcd(g, beta)
     u, v = x2 * x1, x2 * y1
     # u*a1 + v*a2 + w*beta = d1 = gcd(a1, a2, beta)
     a3 = (a1 // d1) * (a2 // d1)

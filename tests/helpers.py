@@ -160,6 +160,146 @@ def naive_monic_points(D: int, bound: int):
 
 
 # ---------------------------------------------------------------------------
+# enumeration oracle: the (a, b, c) box walk with one quadratic in d per
+# cell, the way candidates were generated before the Hessian syzygy
+
+def _d_solutions(a: int, Bd: int, Cd: int):
+    """Integer roots of 27a^2 d^2 + Bd*d + Cd = 0."""
+    A2 = 27 * a * a
+    dd = Bd * Bd - 4 * A2 * Cd
+    if dd < 0:
+        return
+    s = isqrt(dd)
+    if s * s != dd:
+        return
+    for sg in ((s, -s) if s else (0,)):
+        num = -Bd + sg
+        if num % (2 * A2) == 0:
+            yield num // (2 * A2)
+
+
+def _candidates_pos(D: int):
+    """Forms (a>0,b,c,d) of discriminant D > 0 covering every class: bounds
+    follow from the reduced positive-definite Hessian (P,Q,R):
+    P <= sqrt(D), 4P^3 >= 27Da^2 (syzygy at (1,0)), b^2 <= P + 3a|b|
+    (from 9a^2 R = P^2 - P b^2 + 3abQ with R >= P >= |Q|)."""
+    sq = isqrt(D)
+    amax = isqrt(max(4 * sq // 27, 1)) + 1
+    for a in range(1, amax + 1):
+        pmin = max(1, iroot(27 * D * a * a // 4, 3) - 1)
+        bmax = (3 * a + isqrt(9 * a * a + 4 * sq)) // 2 + 1
+        for b in range(-bmax, bmax + 1):
+            plo = max(pmin, b * b - 3 * a * abs(b))
+            if plo > sq:
+                continue
+            chi = (b * b - plo) // (3 * a)
+            clo = -((sq - b * b) // (3 * a))
+            b3 = 4 * b**3
+            for c in range(clo, chi + 1):
+                Bd = b3 - 18 * a * b * c
+                Cd = D + 4 * a * c**3 - b * b * c * c
+                for d in _d_solutions(a, Bd, Cd):
+                    yield BinaryCubicForm(a, b, c, d)
+
+
+def _candidates_neg(D: int):
+    """Forms of discriminant D < 0 covering every class: bounds follow from
+    the fundamental-domain representative (a <= (16|D|/27)^(1/4),
+    |b| <= 3a/2 + (|D|/3)^(1/4), |c| <= (|D|/4a)^(1/3) + 3a/4 + (|D|/3)^(1/4))."""
+    Dm = -D
+    amax = iroot(16 * Dm // 27, 4) + 1
+    t4 = iroot(Dm // 3, 4) + 1
+    for a in range(1, amax + 1):
+        bmax = (3 * a) // 2 + t4 + 1
+        cmax = iroot(Dm // (4 * a), 3) + a + t4 + 2
+        for b in range(-bmax, bmax + 1):
+            b3 = 4 * b**3
+            for c in range(-cmax, cmax + 1):
+                Bd = b3 - 18 * a * b * c
+                Cd = D + 4 * a * c**3 - b * b * c * c
+                for d in _d_solutions(a, Bd, Cd):
+                    yield BinaryCubicForm(a, b, c, d)
+
+
+def naive_enum_candidates(D: int):
+    """The candidate forms of the (a, b, c) box walk for discriminant D."""
+    return list(_candidates_pos(D) if D > 0 else _candidates_neg(D))
+
+
+# ---------------------------------------------------------------------------
+# reduction oracle for disc < 0: the fundamental-domain walk with every
+# comparison made on Fractions
+
+def _eval1(F, r: Fraction):
+    return ((F.a * r + F.b) * r + F.c) * r + F.d
+
+
+def _u_gt(F, s: Fraction) -> bool:
+    r = Fraction(-F.b, F.a) - 2 * s
+    return _eval1(F, r) > 0
+
+
+def _q_gt_one(F) -> bool:
+    v = _eval1(F, Fraction(-F.d, F.a))
+    return v > 0 if F.d < 0 else v < 0
+
+
+def _theta_mid(F) -> Fraction:
+    lo, hi = None, None
+    if _eval1(F, Fraction(0)) > 0:
+        step = 1
+        while _eval1(F, Fraction(-step)) > 0:
+            step *= 2
+        lo, hi = Fraction(-step), Fraction(-step // 2 if step > 1 else 0)
+    else:
+        step = 1
+        while _eval1(F, Fraction(step)) < 0:
+            step *= 2
+        lo, hi = Fraction(step // 2 if step > 1 else 0), Fraction(step)
+    while hi - lo > Fraction(1, 8):
+        mid = (lo + hi) / 2
+        if _eval1(F, mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def _round_u(F) -> int:
+    u_est = -(Fraction(F.b, F.a) + _theta_mid(F)) / 2
+    k = round(u_est)
+    while not _u_gt(F, Fraction(2 * k - 1, 2)):
+        k -= 1
+    while _u_gt(F, Fraction(2 * k + 1, 2)):
+        k += 1
+    return k
+
+
+def _fraction_canonical_sl2_neg(F):
+    if F.a < 0:
+        F = -F
+    for _ in range(500):
+        k = _round_u(F)
+        if k:
+            F = act(F, ((1, k), (0, 1)))
+        if _q_gt_one(F):
+            return F
+        F = act(F, S_MAT)
+        if F.a < 0:
+            F = -F
+    raise AssertionError(f"reduction loop did not terminate on {F}")
+
+
+def fraction_reduce_neg(F):
+    """Canonical representative of an irreducible form of disc < 0,
+    computed with Fraction comparisons."""
+    assert disc(F) < 0
+    c1 = _fraction_canonical_sl2_neg(F)
+    c2 = _fraction_canonical_sl2_neg(act(F, J_MAT))
+    return min(c1, c2, key=lambda G: G.coeffs())
+
+
+# ---------------------------------------------------------------------------
 # family enumeration and the coefficient-box class oracle
 
 def family_discs(disc_bound: int, m_lo: int = -30, m_hi: int = 30,
@@ -170,6 +310,23 @@ def family_discs(disc_bound: int, m_lo: int = -30, m_hi: int = 30,
         if abs(seed.D) <= disc_bound and seed.D not in found:
             found[seed.D] = seed
     return found
+
+
+def random_family_discs(rng, count: int, sign: int, max_exp: int,
+                        min_exp: int = 2):
+    """`count` distinct family discriminants of the given sign, |D| spread
+    log-uniformly over 10^min_exp .. 10^max_exp: pick |D| ~ X, then n, then
+    the m that puts 4m^3 - 27n^2 nearest to sign * X."""
+    out = set()
+    while len(out) < count:
+        X = int(10 ** rng.uniform(min_exp, max_exp))
+        n = rng.randint(1, isqrt(X // 27) + 1)
+        v = (sign * X + 27 * n * n) // 4
+        m = iroot(v, 3) if v >= 0 else -iroot(-v, 3)
+        for seed in scan([m], [n]):
+            if seed.D * sign > 0 and abs(seed.D) <= 10**max_exp:
+                out.add(seed.D)
+    return sorted(out)
 
 
 def box_forms_by_disc(coeff_bound: int, wanted):

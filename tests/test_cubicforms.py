@@ -1,6 +1,7 @@
 """Binary cubic forms: covariants, reduction, class enumeration."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ import sympy
 import helpers
 from descent3 import (BinaryCubicForm, act, depress, disc, enumerate_classes,
                       equivalent, hessian, is_irreducible, make_seed,
-                      monic_representative, point_from_depressed, reduce)
+                      monic_representative, point_from_depressed, reduce,
+                      scan)
+from descent3.arith import rational_roots
+from descent3.cubicforms import candidate_forms
 from descent3.errors import (DiscriminantMismatch, ReduciblePolynomial)
 
 
@@ -157,3 +161,93 @@ def test_box_oracle_small_discs():
             assert R in enums[D], (D, (a, b, c, d))
             seen.add(R)
         assert seen == enums[D], D
+
+
+# D of (1, 1), (7, 3), (-34, 419), (229, 3) and the scan boxes m0..m1 x 1..7
+ANCHOR_DISCS = (-23, 1129, -4897363, 48035713)
+SCAN_BOXES = ((-8, 8), (9, 25), (26, 42), (43, 59))
+
+
+def _same_candidates(D):
+    got = list(candidate_forms(D))
+    assert all(disc(F) == D for F in got), D
+    want = helpers.naive_enum_candidates(D)
+    return (Counter(F.coeffs() for F in got)
+            == Counter(F.coeffs() for F in want))
+
+
+def test_candidates_match_box_walk_on_anchors_and_scan_boxes():
+    discs = set(ANCHOR_DISCS)
+    for m0, m1 in SCAN_BOXES:
+        discs.update(s.D for s in scan(range(m0, m1 + 1), range(1, 8)))
+    assert len(discs) > 150
+    for D in sorted(discs, key=abs):
+        assert _same_candidates(D), D
+
+
+def test_candidates_match_box_walk_on_random_family():
+    # the box walk costs about 1 s at D = -4897363 and 10 s near -10^8,
+    # so the random negative discriminants stop at 10^6
+    rng = random.Random(311)
+    discs = (helpers.random_family_discs(rng, 100, 1, 7)
+             + helpers.random_family_discs(rng, 100, -1, 6))
+    for D in discs:
+        assert _same_candidates(D), D
+
+
+def test_reduce_matches_fraction_oracle_for_negative_disc():
+    rng = random.Random(312)
+    done = 0
+    while done < 1000:
+        F = BinaryCubicForm(*(rng.randint(-60, 60) for _ in range(4)))
+        if disc(F) >= 0 or not is_irreducible(F):
+            continue
+        R = helpers.fraction_reduce_neg(F)
+        assert reduce(F) == R, F
+        G = act(F, helpers.random_unimodular(rng, shift=9))
+        assert reduce(G) == helpers.fraction_reduce_neg(G) == R, (F, G)
+        done += 1
+
+
+def _has_rational_zero(F):
+    return F.a == 0 or F.d == 0 or bool(rational_roots([F.d, F.c, F.b, F.a]))
+
+
+def _times_linear(p, q, r, s, t):
+    """(px + qy)(rx^2 + sxy + ty^2)."""
+    return BinaryCubicForm(p * r, p * s + q * r, p * t + q * s, q * t)
+
+
+def test_is_irreducible_matches_rational_roots():
+    rng = random.Random(313)
+    reducible = 0
+    for _ in range(3000):
+        cs = [rng.randint(-60, 60) for _ in range(4)]
+        if not any(cs):
+            continue
+        F = BinaryCubicForm(*cs)
+        assert is_irreducible(F) == (not _has_rational_zero(F)), F
+        reducible += not is_irreducible(F)
+    for _ in range(120):
+        cs = [rng.randint(-300, 300) for _ in range(5)]
+        F = _times_linear(*cs)
+        if not any(F.coeffs()):
+            continue
+        assert not is_irreducible(F) and _has_rational_zero(F), F
+        reducible += 1
+    assert reducible > 200
+
+
+def test_is_irreducible_on_planted_large_factors():
+    rng = random.Random(314)
+    for _ in range(300):
+        lin = [rng.randint(-10**12, 10**12) for _ in range(2)]
+        quad = [rng.randint(-10**12, 10**12) for _ in range(3)]
+        F = _times_linear(*lin, *quad)
+        if not any(F.coeffs()):
+            continue
+        assert not is_irreducible(F), F
+    # x^3 - 2 scaled by large coprime substitutions stays irreducible
+    for _ in range(100):
+        M = helpers.random_unimodular(rng, words=12, shift=10**6)
+        assert is_irreducible(act(BinaryCubicForm(1, 0, 0, -2), M))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 import helpers
-from descent3 import (BinaryCubicForm, HomogeneousSpace, REAL_PLACE, disc,
-                      enumerate_classes, global_search, hasse_verdict,
+from descent3 import (BinaryCubicForm, HomogeneousSpace, REAL_PLACE, act,
+                      disc, enumerate_classes, global_search, hasse_verdict,
                       local_prime_set, locally_solvable, make_seed, reduce)
 from descent3.errors import DiscriminantMismatch
 
@@ -160,3 +160,27 @@ def test_hasse_verdict_reuses_a_given_monic_search(classes_4897363,
     assert plain.point == (1, 1, 2)
     with pytest.raises(InconsistentInputs):
         hasse_verdict(C, rep_bound=999, monic=rep)
+
+
+def test_local_verdicts_agree_across_gl2_orbits(classes_4897363,
+                                                 classes_48035713):
+    # a 'yes' at p for one form of an orbit and a 'no' for another would
+    # be a wrong answer; 'unknown' may differ.  Class representatives of
+    # family discriminants are locally solvable everywhere, so the frozen
+    # insolvable fixtures are added to exercise 'no' as well.
+    rng = random.Random(404)
+    reps = list(classes_4897363) + list(classes_48035713)
+    for sign in (1, -1):
+        for D in helpers.random_family_discs(rng, 60, sign, 7):
+            reps.extend(enumerate_classes(D))
+    reps.extend(BinaryCubicForm(*coeffs) for coeffs, _, _ in INSOLVABLE)
+    answers = set()
+    for _ in range(300):
+        R = rng.choice(reps)
+        G = act(R, helpers.random_unimodular(rng))
+        for p in local_prime_set(R):
+            got = {locally_solvable(HomogeneousSpace(R), p)[0],
+                   locally_solvable(HomogeneousSpace(G), p)[0]}
+            assert got != {"yes", "no"}, (R.coeffs(), G.coeffs(), p)
+            answers |= got
+    assert {"yes", "no"} <= answers

@@ -205,6 +205,31 @@ def is_cubic_residue(y: int, l: int) -> bool:
     return pow(y, (l - 1) // 3, l) == 1
 
 
+@lru_cache(maxsize=None)
+def _unity_cube_root(l: int) -> int:
+    """The primitive cube root of unity a^((l-1)/3) mod l for the least
+    a >= 2 that is not a cube mod l; fixed per l, so characters agree."""
+    if not sympy.isprime(l) or l % 3 != 1:
+        raise BadPrime(f"{l} is not a prime = 1 (mod 3)")
+    a = 2
+    while pow(a, (l - 1) // 3, l) == 1:
+        a += 1
+    return pow(a, (l - 1) // 3, l)
+
+
+def cubic_character(y: int, l: int) -> int:
+    """The cubic residue character of y mod the prime l = 1 (mod 3), read
+    in F_3: y^((l-1)/3) is 1, omega or omega^2 (mod l), giving 0, 1 or 2,
+    with omega fixed per l by _unity_cube_root.  It is a homomorphism from
+    (Z/l)* onto F_3 that kills exactly the cubes."""
+    if y % l == 0:
+        raise BadPrime(f"{y} is divisible by {l}")
+    e = pow(y, (l - 1) // 3, l)
+    if e == 1:
+        return 0
+    return 1 if e == _unity_cube_root(l) else 2
+
+
 def xgcd(a: int, b: int):
     """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
     x0, x1, y0, y1 = 1, 0, 0, 1

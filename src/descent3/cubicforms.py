@@ -42,7 +42,7 @@ from math import gcd, isqrt
 
 from .arith import (bit_indices, cube_root_exact, cubic_square_points,
                     integer_roots_monic_cubic, iroot, is_squarefree,
-                    rational_roots, tile_residues, xgcd)
+                    tile_residues, xgcd)
 from .errors import (DegenerateDiscriminant, DiscriminantMismatch,
                      CountNotOfExpectedShape, NotSquarefree, NotUnimodular,
                      ReducibleForm, ReduciblePolynomial, ZeroDiscriminant)
@@ -520,10 +520,12 @@ class DepressedCubic:
         return self.m.denominator == 1
 
 
-def depress(a, b, c) -> DepressedCubic:
-    """Depress monic x^3 + ax^2 + bx + c to X^3 - mX + n; the discriminant
-    is unchanged."""
-    if rational_roots([Fraction(c), Fraction(b), Fraction(a), Fraction(1)]):
+def depress(a: int, b: int, c: int) -> DepressedCubic:
+    """Depress monic x^3 + ax^2 + bx + c (integer coefficients) to
+    X^3 - mX + n; the discriminant is unchanged.  A rational root of a
+    monic integer cubic is an integer, so exact root isolation decides
+    reducibility without factoring c."""
+    if integer_roots_monic_cubic(a, b, c):
         raise ReduciblePolynomial(f"x^3 + {a}x^2 + {b}x + {c}")
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     m = a * a / 3 - b

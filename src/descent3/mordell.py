@@ -17,6 +17,19 @@ image of lambda iff its psi'-value is a cube, and span_dim_mod_lambda /
 span_dim_mod_3 turn sets of points into F_3-dimensions of the groups
 E_D'(Q)/lambda(E_D(Q)) and E_D'(Q)/3E_D'(Q).
 
+The spans are F_3 linear algebra on descent values, with no search over
+combinations.  psi' embeds E_D'(Q)/lambda(E_D(Q)) in K'*/K'*^3, so the
+dimension mod lambda is the rank of the psi'-values, computed by
+cube_class_relations: cubic residue characters at split primes
+l = 1 (mod 3) separate the basis, and every relation it reports is
+certified by an explicit cube root (is_cube on the quotient).  The
+dimension mod 3 follows from the exact sequence
+
+    0 -> lambda(E_D)/3E_D' -> E_D'/3E_D' -> E_D'/lambda(E_D) -> 0:
+
+each relation mod lambda names a point T = lambda(P) of the kernel, and
+T lies in 3E_D' iff psi(P) is a cube, so the psi(P) add their rank.
+
 All arithmetic is exact (Fraction coordinates, integer root isolation),
 so points with thousand-digit coordinates are fine.
 """
@@ -25,7 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import cubic_square_points, integer_roots_monic_cubic
+import sympy
+from sympy.ntheory import sqrt_mod
+
+from .arith import (cubic_character, cubic_square_points,
+                    integer_roots_monic_cubic)
 from .errors import (CurveMismatch, DegenerateDenominator, KernelXZero,
                      OffCurve, PreimageMissing, TorsionImage, ZeroInput)
 from .quadfield import QuadElem, is_cube
@@ -284,66 +301,124 @@ def search_monic_points(D: int, bound: int) -> list[CurvePoint]:
 
 # --- F_3 spans of point sets in the two descent quotients ---
 
-def _nonzero_combos(k):
-    """Representatives of nonzero F_3^k up to sign: first nonzero coord = 1."""
-    def rec(i, vec, started):
-        if i == k:
-            if started:
-                yield tuple(vec)
-            return
-        coeffs = (0, 1, 2) if started else (0, 1)
-        for c in coeffs:
-            vec.append(c)
-            yield from rec(i + 1, vec, started or c != 0)
-            vec.pop()
-    yield from rec(0, [], False)
+def _split_characters(d: int, norms: list[int]):
+    """The cubic characters alpha -> chi_l((u + v*r)/2 mod l) of Q(sqrt d),
+    for the primes l = 1 (mod 6) with l not dividing d or any of the
+    norms, d a square mod l, and both roots r of r^2 = d (mod l).  The
+    ring map sqrt(d) -> r sends every element whose norm is prime to l to
+    (Z/l)*, so each character is a homomorphism that kills the cubes."""
+    l = 7
+    while True:
+        if (d % l and pow(d, (l - 1) // 2, l) == 1 and sympy.isprime(l)
+                and all(N % l for N in norms)):
+            r = sqrt_mod(d, l)
+            yield l, r
+            yield l, l - r
+        l += 6
+
+
+def _char(alpha: QuadElem, ch) -> int:
+    l, r = ch
+    return cubic_character((alpha.u + alpha.v * r) * ((l + 1) // 2), l)
+
+
+def _solve_f3(rows, target):
+    """c with sum c_i rows[i] = target over F_3, or None; the rows are
+    linearly independent, so a solution is unique."""
+    k = len(rows)
+    eqs = [[row[j] for row in rows] + [t] for j, t in enumerate(target)]
+    for col in range(k):
+        p = next(i for i in range(col, len(eqs)) if eqs[i][col])
+        eqs[col], eqs[p] = eqs[p], eqs[col]
+        piv = [x * eqs[col][col] % 3 for x in eqs[col]]    # 1/c = c in F_3
+        eqs[col] = piv
+        for i, eq in enumerate(eqs):
+            if i != col and eq[col]:
+                eqs[i] = [(x - eq[col] * y) % 3 for x, y in zip(eq, piv)]
+    if any(eq[k] for eq in eqs[k:]):
+        return None
+    return [eqs[i][k] for i in range(k)]
+
+
+def cube_class_relations(elems: list[QuadElem]) -> list[tuple | None]:
+    """F_3-linear algebra in K*/K*^3 for nonzero integral elements of one
+    field K = Q(sqrt d), taken in order.
+
+    Entry i is None when elems[i] is independent of the elements before it
+    (it joins the basis), else the exponents (c_1, ..., c_k) over the basis
+    so far with elems[i] / prod B_j^c_j a cube.  Each basis element is
+    kept apart from the others by the cubic characters of _split_characters,
+    which start as none.  When a new element's character vector lies in the
+    span of the basis vectors, the quotient beta the solution names is
+    multiplied out and tested by is_cube: a cube root certifies the
+    relation; otherwise primes are scanned until a character is nonzero on
+    beta (a non-cube is a non-residue at infinitely many split primes, by
+    Chebotarev), and that character separates the element from the basis.
+    Both answers are exact: "dependent" rests on a checked cube root and
+    "independent" on a homomorphism that kills cubes."""
+    if not elems:
+        return []
+    chars = _split_characters(elems[0].d, [a.norm() for a in elems])
+    found, basis, rows, out = [], [], [], []
+    for alpha in elems:
+        vec = [_char(alpha, ch) for ch in found]
+        coeffs = _solve_f3(rows, vec)
+        if coeffs is not None:
+            beta = alpha
+            for B, c in zip(basis, coeffs):
+                if c:
+                    beta = beta * B ** (3 - c)     # alpha * B^-c, up to cubes
+            if is_cube(beta) is not None:
+                out.append(tuple(coeffs))
+                continue
+            ch = next(ch for ch in chars if _char(beta, ch))
+            found.append(ch)
+            for B, row in zip(basis, rows):
+                row.append(_char(B, ch))
+            vec.append(_char(alpha, ch))
+        basis.append(alpha)
+        rows.append(vec)
+        out.append(None)
+    return out
+
+
+def _psi_prime_relations(points, D):
+    """The affine points and their cube_class_relations under psi'."""
+    pts = [S for S in points if not S.infinite]
+    return pts, cube_class_relations([psi_prime(S, D).value for S in pts])
 
 
 def span_dim_mod_lambda(points: list[CurvePoint], D: int) -> int:
     """dim of the image of the given E_D' points in E_D'(Q)/lambda(E_D(Q)).
 
-    Incremental: a new point joins the basis unless some combination with
-    the current basis dies in the quotient (psi'-value a cube)."""
-    return _span_dim(points, D, in_lambda_image)
+    psi' embeds that quotient in K'*/K'*^3, K' = Q(sqrt(-3D)), so this is
+    the F_3-rank of the psi'-values; no point arithmetic."""
+    return _psi_prime_relations(points, D)[1].count(None)
 
 
 def span_dim_mod_3(points: list[CurvePoint], D: int) -> int:
-    """dim of the image of the given E_D' points in E_D'(Q)/3E_D'(Q)."""
-    return _span_dim(points, D, _trivial_mod_3)
+    """dim of the image of the given E_D' points in E_D'(Q)/3E_D'(Q).
 
-
-def _trivial_mod_3(S: CurvePoint, D: int) -> bool:
-    """S in 3 E_D'(Q)?  Since 3 = lambda . lambda_dual, S in 3E' iff
-    S = lambda(P) for rational P and P = lambda_dual(T) for rational T;
-    the first is the psi'-cube test, the second is the psi-cube test on
-    the (unique) preimage."""
-    if S.infinite:
-        return True
-    if not in_lambda_image(S, D):
-        return False
-    P = lambda_preimage(S, D)
-    if P is None:
-        raise PreimageMissing(f"psi'({S}) is a cube but no rational preimage found")
-    if P.infinite or P.x == 0:
-        return True
-    return psi(P, D).is_cube_class()
-
-
-def _span_dim(points, D, trivial):
-    basis = []
-    for S in points:
-        if S.infinite:
-            continue
-        new_dim = True
-        for combo in _nonzero_combos(len(basis) + 1):
-            if combo[-1] == 0:
-                continue
-            T = CurvePoint(S.curve)
-            for c, B in zip(combo, basis + [S]):
-                T = add(T, mul_scalar(c, B))
-            if trivial(T, D):
-                new_dim = False
-                break
-        if new_dim:
+    By the exact sequence in the module docstring, every point S that is
+    dependent mod lambda, with relation c over the basis B, gives
+    T = S - sum c_j B_j in lambda(E_D(Q)) (c_j = 2 is taken as -1; the
+    difference lies in 3E_D'(Q)).  Its preimage P has psi(P) a cube iff
+    T is in 3E_D'(Q) = lambda(lambda_dual(E_D'(Q))), so the dimension is
+    the dimension mod lambda plus the F_3-rank of the psi(P)."""
+    pts, rels = _psi_prime_relations(points, D)
+    basis, kernel = [], []
+    for S, coeffs in zip(pts, rels):
+        if coeffs is None:
             basis.append(S)
-    return len(basis)
+            continue
+        T = S
+        for B, c in zip(basis, coeffs):
+            if c:
+                T = add(T, -B if c == 1 else B)
+        P = lambda_preimage(T, D)
+        if P is None:
+            raise PreimageMissing(
+                f"psi'({T}) is a cube but no rational preimage found")
+        if not P.infinite and P.x != 0:
+            kernel.append(psi(P, D).value)
+    return len(basis) + cube_class_relations(kernel).count(None)

@@ -12,11 +12,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from descent3.arith import iroot
-from descent3.errors import ReduciblePolynomial
+from descent3.errors import PreimageMissing, ReduciblePolynomial
 from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
                       act, add, disc, depress, hessian, in_lambda_image,
                       is_cube, is_irreducible, lambda_dual, lambda_map,
-                      mul_scalar, psi_prime, reduce, scan, virtual_unit)
+                      lambda_preimage, mul_scalar, psi, psi_prime, reduce,
+                      scan, virtual_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +358,71 @@ def box_forms_by_disc(coeff_bound: int, wanted):
                 if D in out:
                     out[D].append((a, b, int(vals[j]), int(vals[i])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# span oracle: the combination enumeration the library used before its
+# F_3 character ranks.  For each new point it tries every combination with
+# the current basis (up to 3^k/2 of them), adding points on the curve and
+# testing each sum with is_cube, so it is exact and slow.
+
+def _nonzero_combos(k):
+    """Representatives of nonzero F_3^k up to sign: first nonzero coord = 1."""
+    def rec(i, vec, started):
+        if i == k:
+            if started:
+                yield tuple(vec)
+            return
+        coeffs = (0, 1, 2) if started else (0, 1)
+        for c in coeffs:
+            vec.append(c)
+            yield from rec(i + 1, vec, started or c != 0)
+            vec.pop()
+    yield from rec(0, [], False)
+
+
+def _trivial_mod_3(S, D) -> bool:
+    """S in 3 E_D'(Q)?  Since 3 = lambda . lambda_dual, S in 3E' iff
+    S = lambda(P) for rational P and P = lambda_dual(T) for rational T;
+    the first is the psi'-cube test, the second is the psi-cube test on
+    the (unique) preimage."""
+    if S.infinite:
+        return True
+    if not in_lambda_image(S, D):
+        return False
+    P = lambda_preimage(S, D)
+    if P is None:
+        raise PreimageMissing(f"psi'({S}) is a cube but no rational preimage found")
+    if P.infinite or P.x == 0:
+        return True
+    return psi(P, D).is_cube_class()
+
+
+def _span_dim(points, D, trivial):
+    basis = []
+    for S in points:
+        if S.infinite:
+            continue
+        new_dim = True
+        for combo in _nonzero_combos(len(basis) + 1):
+            if combo[-1] == 0:
+                continue
+            T = CurvePoint(S.curve)
+            for c, B in zip(combo, basis + [S]):
+                T = add(T, mul_scalar(c, B))
+            if trivial(T, D):
+                new_dim = False
+                break
+        if new_dim:
+            basis.append(S)
+    return len(basis)
+
+
+def naive_span_dim(points, D: int, mod) -> int:
+    """dim of the points' image in E_D'(Q)/lambda(E_D(Q)) (mod="lambda")
+    or in E_D'(Q)/3E_D'(Q) (mod=3), by combination enumeration."""
+    trivial = {"lambda": in_lambda_image, 3: _trivial_mod_3}[mod]
+    return _span_dim(points, D, trivial)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,31 @@ def test_depress_rejects_reducible():
         depress(0, 0, -8)                           # x^3 - 8
 
 
+def _depress_rejects(a, b, c):
+    try:
+        depress(a, b, c)
+    except ReduciblePolynomial:
+        return True
+    return False
+
+
+def test_depress_reducibility_matches_rational_roots():
+    # random monic cubics, then planted (x - r)(x^2 + px + q) with
+    # constant terms near 10^10, where factoring the constant was slow
+    rng = random.Random(523)
+    cases = [tuple(rng.randint(-40, 40) for _ in range(3))
+             for _ in range(1500)]
+    for _ in range(40):
+        r, p, q = (rng.randint(-10**5, 10**5) for _ in range(3))
+        cases.append((p - r, q - r * p, -r * q))
+    reducible = 0
+    for a, b, c in cases:
+        want = bool(rational_roots([c, b, a, 1]))
+        assert _depress_rejects(a, b, c) == want, (a, b, c)
+        reducible += want
+    assert reducible >= 40
+
+
 def test_point_from_depressed_guards_disc():
     seed = make_seed(1, 1)
     with pytest.raises(DiscriminantMismatch):

@@ -1,12 +1,11 @@
 """Exact integer arithmetic helpers: roots, squarefree tests, cubic residues,
 extended gcd, and the bit-packed residue sieves.
 
-Everything here is integer (or Fraction) arithmetic.  The Newton iteration
+Everything here is integer arithmetic.  The Newton iteration
 in iroot starts from the power of two 2^ceil(bits/k), and every sieve
 survivor is checked exactly before it is returned.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -26,10 +25,6 @@ def small_primes() -> list[int]:
     if _small_primes is None:
         _small_primes = list(sympy.sieve.primerange(2, TRIAL_BOUND + 1))
     return _small_primes
-
-
-def primes_upto(n: int) -> list[int]:
-    return list(sympy.sieve.primerange(2, n + 1))
 
 
 def iroot(n: int, k: int) -> int:
@@ -243,50 +238,6 @@ def xgcd(a: int, b: int):
 
 
 # --- polynomial root extraction ---
-
-def _horner(coeffs_desc, x):
-    v = 0
-    for c in coeffs_desc:
-        v = v * x + c
-    return v
-
-
-def rational_roots(coeffs) -> list[Fraction]:
-    """All rational roots of c0 + c1 x + ... + cn x^n, each listed once.
-
-    coeffs is ascending, entries int or Fraction.  Denominators are cleared,
-    then candidate roots p/q run over divisor pairs of the constant and
-    leading coefficients.  Exact throughout; no numerics.
-    """
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ZeroInput("zero polynomial")
-    lcm = 1
-    for c in cs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ics = [int(c * lcm) for c in cs]
-    roots: set[Fraction] = set()
-    shift = 0
-    while ics[0] == 0:
-        roots.add(Fraction(0))
-        ics = ics[1:]
-        shift += 1
-        if not ics:
-            return sorted(roots)
-    if len(ics) == 1:
-        return sorted(roots)
-    desc = ics[::-1]
-    for p in divisors(ics[0]):
-        for q in divisors(ics[-1]):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _horner(desc, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
 
 def _bisect_root(f, lo: int, hi: int, increasing: bool) -> int | None:
     """Integer root of f on [lo, hi] where f is monotone there.  None if the

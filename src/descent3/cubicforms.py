@@ -392,14 +392,22 @@ class MonicSearch:
 # whose value F(x, y) mod m the target can take.  ANDing a row's masks
 # leaves a few survivors, and each survivor is checked exactly, so the
 # sieve only ever discards cells that cannot be hits.
+#
+# A binary cubic is odd, F(-x, -y) = -F(x, y), and (x, y), (-x, -y) share
+# gcd and max-norm, so only the rows y >= 0 are sieved.  The allowed
+# residues are closed under negation (the cubes are already; the unit
+# target allows both 1 and -1), and a survivor (x, y) stands for itself
+# when F(x, y) passes the exact test and for its mirror (-x, -y) when
+# -F(x, y) does.
 
 _SIEVE_MODULI = (9, 7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97)
 
-# target -> (residues mod m of every value that can pass, exact test)
+# target -> (residues mod m of every value or its negative that can pass,
+#            exact test)
 _TARGETS = {
     "cube": (lambda m: {t**3 % m for t in range(m)},
              lambda v: cube_root_exact(v) is not None),
-    "unit": (lambda m: {1}, lambda v: v == 1),
+    "unit": (lambda m: {1, m - 1}, lambda v: v == 1),
 }
 
 
@@ -418,7 +426,8 @@ def _residue_patterns(F: BinaryCubicForm, m: int, allowed) -> list[int]:
 
 class _Sieve:
     """Residue patterns of one form for one target, built per modulus on
-    first use (most rows die after a few moduli)."""
+    first use and tiled per row residue on first use (most rows die after
+    a few moduli)."""
 
     def __init__(self, F: BinaryCubicForm, target: str):
         self.F = F
@@ -426,7 +435,8 @@ class _Sieve:
         self.patterns = [None] * len(_SIEVE_MODULI)
 
     def hits(self, ys, lo: int, width: int) -> list[tuple[int, int]]:
-        """Verified hits (x, y): y in ys, lo <= x < lo + width, gcd 1."""
+        """Verified hits of the cells (x, y), y in ys, lo <= x < lo + width,
+        gcd 1, and of their mirrors (-x, -y)."""
         F, accept = self.F, self.accept
         masks = [None] * len(_SIEVE_MODULI)
         full = (1 << width) - 1
@@ -438,14 +448,24 @@ class _Sieve:
                 if ms is None:
                     if self.patterns[k] is None:
                         self.patterns[k] = _residue_patterns(F, m, self.allowed(m))
-                    ms = masks[k] = [tile_residues(p, m, lo, width)
-                                     for p in self.patterns[k]]
-                row &= ms[y % m]
+                    ms = masks[k] = [None] * m
+                t = y % m
+                mask = ms[t]
+                if mask is None:
+                    mask = ms[t] = tile_residues(self.patterns[k][t], m, lo,
+                                                 width)
+                row &= mask
                 if not row:
                     break
-            if row:
-                out.extend((x, y) for x in bit_indices(row, lo)
-                           if gcd(x, y) == 1 and accept(F(x, y)))
+            if not row:
+                continue
+            for x in bit_indices(row, lo):
+                if gcd(x, y) == 1:
+                    v = F(x, y)
+                    if accept(v):
+                        out.append((x, y))
+                    if accept(-v):
+                        out.append((-x, -y))
         return out
 
 
@@ -459,13 +479,18 @@ def _sieved_search(F: BinaryCubicForm, bound: int, target: str):
     at the first radius with a hit.  That returns exactly the first hit of
     the whole box: every cell of smaller max-norm lies in an earlier
     radius, which had none, and the minimum is taken over the full radius
-    that has one.  (0, 0) is never coprime and is never visited."""
+    that has one.  (0, 0) is never coprime and is never visited.
+
+    Only the upper half-plane y >= 0 of each annulus is sieved.  Since
+    F(-x, -y) = -F(x, y), every cell with y < 0 is the mirror (-x, -y) of
+    a sieved cell, and it is a hit exactly when -F(x, y) meets the target,
+    so each cell of the box is still decided once (row 0 twice)."""
     sieve = _Sieve(F, target)
     done = 0
     while done < bound:
         r = min(2 * done or 1, bound)
-        outer = [*range(-r, -done), *range(done + 1, r + 1)]
-        inner = range(-done, done + 1)
+        outer = range(done + 1, r + 1)
+        inner = range(0, done + 1)
         hits = (sieve.hits(outer, -r, 2 * r + 1)
                 + sieve.hits(inner, -r, r - done)
                 + sieve.hits(inner, done + 1, r - done))

@@ -15,7 +15,9 @@ cube root.  Boxes of radius 1, 2, 4, ... up to the bound are searched in
 turn, and the search stops at the first radius with a hit.  The returned
 point is the first hit in (max-norm, x, y) order over the whole box,
 because all smaller max-norms were searched, without a hit, at earlier
-radii.  No float enters the search.
+radii.  Only the half-plane y >= 0 is sieved: G(-x, -y) = -G(x, y) is a
+cube exactly when G(x, y) is, so each sieved hit (x, y) also stands for
+its mirror (-x, -y) below.  No float enters the search.
 
 Local solvability is decided through the charts (1 : t) and (pt : 1) of
 P^1(Z_p): C has a Q_p-point iff one of the chart polynomials takes a cube
@@ -112,7 +114,9 @@ def global_search(C: HomogeneousSpace, bound: int):
     The residue sieve of cubicforms._sieved_search skips only cells whose
     value is a non-cube modulo a sieve modulus and confirms every survivor
     with an integer cube root; its radius doubling stops early yet returns
-    the same first hit as a scan of every cell of the box."""
+    the same first hit as a scan of every cell of the box.  It sieves the
+    rows y >= 0 only and reads each row y < 0 off its mirror, since
+    (x, y) and (-x, -y) have the same gcd, max-norm and cube status."""
     F = C.form
     hit = _sieved_search(F, bound, "cube")
     if hit is None:

@@ -43,8 +43,8 @@ from sympy.ntheory import sqrt_mod
 
 from .arith import (cubic_character, cubic_square_points,
                     integer_roots_monic_cubic)
-from .errors import (CurveMismatch, DegenerateDenominator, KernelXZero,
-                     OffCurve, PreimageMissing, TorsionImage, ZeroInput)
+from .errors import (CurveMismatch, KernelXZero, OffCurve, PreimageMissing,
+                     TorsionImage, ZeroInput)
 from .quadfield import QuadElem, is_cube
 
 
@@ -222,10 +222,6 @@ class DescentClass:
     def __post_init__(self):
         if self.value is not None:
             assert self.value.d == self.d and not self.value.is_zero()
-
-    @property
-    def trivial_rep(self) -> bool:
-        return self.value is None
 
     def is_cube_class(self) -> bool:
         return self.value is None or is_cube(self.value) is not None

@@ -11,8 +11,10 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
-from descent3.arith import iroot
-from descent3.errors import PreimageMissing, ReduciblePolynomial
+import sympy
+
+from descent3.arith import divisors, iroot
+from descent3.errors import PreimageMissing, ReduciblePolynomial, ZeroInput
 from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
                       act, add, disc, depress, hessian, in_lambda_image,
                       is_cube, is_irreducible, lambda_dual, lambda_map,
@@ -55,6 +57,57 @@ def random_unimodular(rng, words=6, shift=4):
 def disc_formula(a, b, c, d):
     return (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c
             - 4 * a * c**3 - 27 * a * a * d * d)
+
+
+# ---------------------------------------------------------------------------
+# primes and rational roots by the textbook routes
+
+def primes_upto(n: int) -> list[int]:
+    return list(sympy.sieve.primerange(2, n + 1))
+
+
+def _horner(coeffs_desc, x):
+    v = 0
+    for c in coeffs_desc:
+        v = v * x + c
+    return v
+
+
+def rational_roots(coeffs) -> list[Fraction]:
+    """All rational roots of c0 + c1 x + ... + cn x^n, each listed once.
+
+    coeffs is ascending, entries int or Fraction.  Denominators are cleared,
+    then candidate roots p/q run over divisor pairs of the constant and
+    leading coefficients.  Exact throughout; no numerics.
+    """
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        raise ZeroInput("zero polynomial")
+    lcm = 1
+    for c in cs:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    ics = [int(c * lcm) for c in cs]
+    roots: set[Fraction] = set()
+    shift = 0
+    while ics[0] == 0:
+        roots.add(Fraction(0))
+        ics = ics[1:]
+        shift += 1
+        if not ics:
+            return sorted(roots)
+    if len(ics) == 1:
+        return sorted(roots)
+    desc = ics[::-1]
+    for p in divisors(ics[0]):
+        for q in divisors(ics[-1]):
+            if gcd(p, q) != 1:
+                continue
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if _horner(desc, cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

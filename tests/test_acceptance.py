@@ -12,12 +12,13 @@ from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
                       factorize, is_cube, make_seed, monic_representative,
                       r3_from_fields, search_monic_points, selmer_ranks,
                       span_dim_mod_3, span_dim_mod_lambda)
-from descent3.arith import integer_roots_monic_cubic, primes_upto
+from descent3.arith import integer_roots_monic_cubic
 from descent3.tables import (TABLE_1, TABLE_3, TABLE_4, check_discriminants,
                              check_forms, check_table_1, check_table_3,
                              check_table_4)
 
 import helpers
+from helpers import primes_upto
 
 
 def _criterion(capsys, num, label, budget, body):

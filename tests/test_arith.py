@@ -7,9 +7,10 @@ import sympy
 
 from descent3.arith import (cube_root_exact, divisors, factorize,
                             integer_roots_monic_cubic, iroot, is_cubic_residue,
-                            is_perfect_square, is_squarefree, primes_upto,
-                            rational_roots, squarefree_status)
+                            is_perfect_square, is_squarefree,
+                            squarefree_status)
 from descent3.errors import BadPrime
+from helpers import primes_upto, rational_roots
 
 
 def test_iroot_matches_sympy():

@@ -12,9 +12,9 @@ from descent3 import (BinaryCubicForm, act, depress, disc, enumerate_classes,
                       equivalent, hessian, is_irreducible, make_seed,
                       monic_representative, point_from_depressed, reduce,
                       scan)
-from descent3.arith import rational_roots
 from descent3.cubicforms import candidate_forms
 from descent3.errors import (DiscriminantMismatch, ReduciblePolynomial)
+from helpers import rational_roots
 
 
 def test_disc_matches_sympy():

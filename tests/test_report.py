@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from descent3.errors import (ExcludedDiscriminant, InconsistencyError,
 from descent3.report import (report_csv_header, report_from_json,
                              report_to_csv, report_to_json,
                              report_to_json_dict)
+
+DATA = Path(__file__).parent / "data"
 
 KNOWN_CLASS_GROUPS = {
     -23: (3,),
@@ -153,6 +156,14 @@ def test_report_json_round_trip():
     parsed = json.loads(blob)
     assert parsed["seed"]["disc"] == "-23"         # ints travel as strings
     assert report_from_json(blob) == rep
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (7, 3), (-34, 419), (-73, 1),
+                                  (229, 3)])
+def test_report_json_matches_recorded_bytes(m, n):
+    # recorded at default bounds; a speedup must leave these bytes alone
+    want = (DATA / f"report_{m}_{n}.json").read_bytes()
+    assert report_to_json(build_report(make_seed(m, n))).encode() == want
 
 
 def test_report_json_all_ints_stringified():

@@ -41,6 +41,58 @@ def test_sieve_matches_naive_scan_on_random_forms():
     assert found["cube"] >= 150 and found["unit"] >= 60, found
 
 
+def test_sieve_matches_naive_scan_on_negated_forms():
+    # F(-x, -y) = -F(x, y): the hits of -F are the mirrors of those of F
+    # for cubes, and come from the cells where F = -1 for the unit target
+    rng = random.Random(4411)
+    for i, F in enumerate(_random_forms(rng, 240)):
+        bound = i % 31
+        for target, accept in ACCEPT.items():
+            assert (_sieved_search(-F, bound, target)
+                    == helpers.naive_first_point(-F, bound, accept)), \
+                (-F, bound, target)
+
+
+def test_sieve_returns_hits_that_lie_below_the_sieved_rows():
+    # the first hit of each target has x < 0 and y < 0, so the sieve,
+    # which walks the rows y >= 0, can only return it as a mirror: from an
+    # outer row for (3, 1, -3, -6) and (-3, -4), from an inner row for
+    # (-4, -1)
+    cases = {(3, 1, -3, -6): {"cube": (-7, -6), "unit": (-7, -5)},
+             (-3, 8, 1, -4): {"cube": (-4, -1), "unit": (-3, -4)}}
+    for coeffs, first in cases.items():
+        F = BinaryCubicForm(*coeffs)
+        for target, accept in ACCEPT.items():
+            x, y = first[target]
+            norm = max(-x, -y)
+            for bound in (norm - 1, norm, norm + 1, 8, 20):
+                want = helpers.naive_first_point(F, bound, accept)
+                if bound >= norm:
+                    assert want == first[target]
+                assert _sieved_search(F, bound, target) == want, \
+                    (F, bound, target)
+
+
+def test_unit_hit_from_minus_one_on_row_zero():
+    # a = -1: the hit (-1, 0) is the mirror of (1, 0), where F = -1 on the
+    # sieved row y = 0
+    F = BinaryCubicForm(-1, 2, 3, -7)
+    for bound in (1, 2, 5):
+        want = helpers.naive_first_point(F, bound, ACCEPT["unit"])
+        assert want == (-1, 0)
+        assert _sieved_search(F, bound, "unit") == want
+        rep = monic_representative(F, bound)
+        assert (rep.matrix[0][0], rep.matrix[1][0]) == (-1, 0)
+        assert rep.form.a == 1
+
+
+def test_sieve_finds_no_cube_on_classes_of_48035713():
+    for coeffs in ((2, -41, -45, 134), (19, -16, -83, 7), (23, -20, -75, 17)):
+        F = BinaryCubicForm(*coeffs)
+        assert helpers.naive_first_point(F, 200, helpers.is_cube_value) is None
+        assert _sieved_search(F, 200, "cube") is None
+
+
 def test_public_searches_match_naive_scan():
     rng = random.Random(907)
     for i, F in enumerate(_random_forms(rng, 60)):

@@ -13,10 +13,10 @@ All arithmetic is exact (integers and fractions); nothing is floated.
 """
 
 from .arith import factorize, iroot, is_cubic_residue, is_squarefree
-from .cubicforms import (BinaryCubicForm, DepressedCubic, MonicSearch,
-                         QuadraticForm, act, depress, disc, enumerate_classes,
-                         equivalent, hessian, is_irreducible,
-                         monic_representative, point_from_depressed, reduce)
+from .cubicforms import (BinaryCubicForm, MonicSearch, QuadraticForm, act,
+                         disc, enumerate_classes, equivalent, hessian,
+                         is_irreducible, monic_representative, reduce,
+                         syzygy_pair)
 from .errors import (DescentError, InconsistencyError, ValidationError)
 from .genus1 import (Genus1Verdict, HomogeneousSpace, LocalWitness,
                      REAL_PLACE, global_search, hasse_verdict, local_prime_set,
@@ -24,7 +24,7 @@ from .genus1 import (Genus1Verdict, HomogeneousSpace, LocalWitness,
 from .mordell import (CurvePoint, MordellCurve, add, in_lambda_image,
                       lambda_dual, lambda_map, lambda_preimage, mul_scalar,
                       psi, psi_prime, search_monic_points, span_dim_mod_3,
-                      span_dim_mod_lambda)
+                      span_dim_mod_lambda, syzygy_point)
 from .quadfield import QuadElem, is_cube, same_cubic_field, virtual_unit
 from .report import (AnalysisReport, ClassGroup, build_report,
                      class_group_imaginary, conditional_rank_sha3,

@@ -330,30 +330,27 @@ def bit_indices(row: int, lo: int):
         i = bits.find("1", i + 1)
 
 
-# --- integral points on coef * t^2 = 4s^3 - c ---
+# --- integral points on t^2 = 4s^3 - c ---
 #
-# The monic lattices of E_D' and the Hessian syzygy of binary cubic forms
-# both ask for the s in a run of consecutive integers at which 4s^3 - c is
-# coef times a square.  A survivor of the residue sieve only passed a
+# The Hessian syzygy of binary cubic forms, and with it the monic points
+# of E_D', asks for the s in a run of consecutive integers at which
+# 4s^3 - c is a square.  A survivor of the residue sieve only passed a
 # necessary condition and is always checked exactly.
 
 _CUBIC_SQUARE_MODULI = (81, 64, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
                         43, 47, 53, 59, 61)
 # indices sieved per bitmask: keeps memory flat for long ranges, and was
-# the fastest of 2^12 .. 2^20 on the monic lattices of the scan-box seeds
+# the fastest of 2^12 .. 2^20 on the monic searches of the scan-box seeds
 _CUBIC_SQUARE_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _cubic_square_pattern(q: int, c: int, coef: int, prime_to_3: bool) -> int:
-    """The q-bit pattern whose bit s is set when 4s^3 - c is congruent to
-    coef * t^2 mod q for some t (and, when prime_to_3 and 3 | q, when 3
-    does not divide s).  c and coef are residues mod q, so the cache holds
-    at most a few thousand patterns."""
-    vals = {coef * t * t % q for t in range(q)}
-    drop3 = prime_to_3 and q % 3 == 0
-    return sum(1 << s for s in range(q)
-               if (4 * s**3 - c) % q in vals and not (drop3 and s % 3 == 0))
+def _cubic_square_pattern(q: int, c: int) -> int:
+    """The q-bit pattern whose bit s is set when 4s^3 - c is a square
+    mod q.  c is a residue mod q, so the cache holds at most a few
+    hundred patterns."""
+    squares = {t * t % q for t in range(q)}
+    return sum(1 << s for s in range(q) if (4 * s**3 - c) % q in squares)
 
 
 def _least_cube_index(c: int) -> int:
@@ -364,19 +361,17 @@ def _least_cube_index(c: int) -> int:
     return r if 4 * r**3 >= c else r + 1
 
 
-def cubic_square_points(c: int, coef: int, lo: int, hi: int,
-                        prime_to_3: bool = False):
-    """The integral points (s, t), t >= 0, of coef * t^2 = 4s^3 - c with
-    lo <= s <= hi (and 3 not dividing s when prime_to_3), s ascending.
+def cubic_square_points(c: int, lo: int, hi: int):
+    """The integral points (s, t), t >= 0, of t^2 = 4s^3 - c with
+    lo <= s <= hi, s ascending.
 
     The range starts at the least s with 4s^3 >= c, found exactly with
     iroot.  Residue patterns modulo 81, 64 and the primes 5..61, tiled
     over blocks of consecutive s and ANDed (after Stoll's ratpoints),
-    drop the s at which 4s^3 - c is not coef times a square modulo some
-    modulus; they discard only s that cannot be on the curve.  Every
-    survivor gets the exact isqrt test."""
-    pats = [(_cubic_square_pattern(q, c % q, coef % q, prime_to_3), q)
-            for q in _CUBIC_SQUARE_MODULI]
+    drop the s at which 4s^3 - c is not a square modulo some modulus;
+    they discard only s that cannot be on the curve.  Every survivor
+    gets the exact isqrt test."""
+    pats = [(_cubic_square_pattern(q, c % q), q) for q in _CUBIC_SQUARE_MODULI]
     lo = max(lo, _least_cube_index(c))
     for start in range(lo, hi + 1, _CUBIC_SQUARE_BLOCK):
         width = min(_CUBIC_SQUARE_BLOCK, hi + 1 - start)
@@ -387,12 +382,7 @@ def cubic_square_points(c: int, coef: int, lo: int, hi: int,
                 break
         else:
             for s in bit_indices(row, start):
-                if prime_to_3 and s % 3 == 0:
-                    continue
                 v = 4 * s**3 - c
-                if v % coef:
-                    continue
-                v //= coef
                 t = isqrt(v)
                 if t * t == v:
                     yield s, t

@@ -29,7 +29,7 @@ from . import tables
 @dataclass
 class Config:
     """Search bounds and output knobs; defaults sized for the worked
-    examples (monic lattice 10^5, global cube search 10^4, representing-1
+    examples (monic points 10^5, global cube search 10^4, representing-1
     search 10^3, local tests at p <= 100 plus the bad primes)."""
     point_bound: int = 10**5
     global_bound: int = 10**4
@@ -52,7 +52,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                    default="text")
     p.add_argument("--bound-monic", type=int, default=10**5,
-                   help="lattice search radius for monic points (default 1e5)")
+                   help="monic-point search radius, |P| <= 3x (default 1e5)")
     p.add_argument("--bound-global", type=int, default=10**4,
                    help="projective cube-point search radius (default 1e4)")
     p.add_argument("--bound-rep", type=int, default=10**3,

@@ -37,15 +37,14 @@ root isolation on a monic cubic, without factoring.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .arith import (bit_indices, cube_root_exact, cubic_square_points,
                     integer_roots_monic_cubic, iroot, is_squarefree,
                     tile_residues, xgcd)
-from .errors import (DegenerateDiscriminant, DiscriminantMismatch,
-                     CountNotOfExpectedShape, NotSquarefree, NotUnimodular,
-                     ReducibleForm, ReduciblePolynomial, ZeroDiscriminant)
+from .errors import (DegenerateDiscriminant, CountNotOfExpectedShape,
+                     NotSquarefree, NotUnimodular, ReducibleForm,
+                     ZeroDiscriminant)
 
 _S = ((0, -1), (1, 0))
 _J = ((1, 0), (0, -1))
@@ -115,6 +114,17 @@ def disc(F: BinaryCubicForm) -> int:
 def hessian(F: BinaryCubicForm) -> QuadraticForm:
     a, b, c, d = F.coeffs()
     return QuadraticForm(b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d)
+
+
+def syzygy_pair(F: BinaryCubicForm) -> tuple[int, int]:
+    """(P, G): the Hessian and the cubic covariant of F at (1, 0),
+
+        P = b^2 - 3ac,   G = 2b^3 - 9abc + 27a^2 d,
+
+    which satisfy 4P^3 - 27 disc(F) a^2 = G^2.  For monic F that is the
+    point (4P, 4G) of E_D': Y^2 = X^3 - 432D (mordell.syzygy_point)."""
+    a, b, c, d = F.coeffs()
+    return b * b - 3 * a * c, 2 * b**3 - 9 * a * b * c + 27 * a * a * d
 
 
 def act(F: BinaryCubicForm, M) -> BinaryCubicForm:
@@ -319,7 +329,7 @@ def candidate_forms(D: int):
         amax = isqrt(max(4 * sq // 27, 1)) + 1
         for a in range(1, amax + 1):
             bmax = (3 * a + isqrt(9 * a * a + 4 * sq)) // 2 + 1
-            for P, G in cubic_square_points(27 * D * a * a, 1, 1, sq):
+            for P, G in cubic_square_points(27 * D * a * a, 1, sq):
                 for b in range(-bmax, bmax + 1):
                     r = b * b - P
                     if r % (3 * a) == 0 and r <= 3 * a * abs(b):
@@ -332,7 +342,7 @@ def candidate_forms(D: int):
             bmax = (3 * a) // 2 + t4 + 1
             cmax = iroot(Dm // (4 * a), 3) + a + t4 + 2
             span = 3 * a * cmax
-            for P, G in cubic_square_points(27 * D * a * a, 1, -span,
+            for P, G in cubic_square_points(27 * D * a * a, -span,
                                             bmax * bmax + span):
                 for b in range(-bmax, bmax + 1):
                     r = b * b - P
@@ -371,7 +381,7 @@ def enumerate_classes(D: int) -> list[BinaryCubicForm]:
     return classes
 
 
-# --- monic representability and depression ---
+# --- monic representability ---
 
 @dataclass(frozen=True)
 class MonicSearch:
@@ -522,46 +532,3 @@ def monic_representative(F: BinaryCubicForm, bound: int) -> MonicSearch:
     G = act(F, M)
     assert G.a == 1
     return MonicSearch('found', M, G, bound)
-
-
-@dataclass(frozen=True)
-class DepressedCubic:
-    """X^3 - mX + n; (m, n) integral or exactly (M/3, N/27)."""
-    m: Fraction
-    n: Fraction
-
-    def __post_init__(self):
-        dm, dn = self.m.denominator, self.n.denominator
-        if (dm, dn) not in ((1, 1), (3, 27)):
-            raise ValueError(f"bad denominator pattern ({dm}, {dn})")
-
-    def disc(self) -> int:
-        val = 4 * self.m**3 - 27 * self.n**2
-        assert val.denominator == 1
-        return int(val)
-
-    @property
-    def integral(self) -> bool:
-        return self.m.denominator == 1
-
-
-def depress(a: int, b: int, c: int) -> DepressedCubic:
-    """Depress monic x^3 + ax^2 + bx + c (integer coefficients) to
-    X^3 - mX + n; the discriminant is unchanged.  A rational root of a
-    monic integer cubic is an integer, so exact root isolation decides
-    reducibility without factoring c."""
-    if integer_roots_monic_cubic(a, b, c):
-        raise ReduciblePolynomial(f"x^3 + {a}x^2 + {b}x + {c}")
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    m = a * a / 3 - b
-    n = c + 2 * a**3 / 27 - a * b / 3
-    return DepressedCubic(m, n)
-
-
-def point_from_depressed(dc: DepressedCubic, seed):
-    """The rational point (12m, 108n) on E_D': Y^2 = X^3 - 432D."""
-    from .mordell import CurvePoint, MordellCurve
-    if dc.disc() != seed.D:
-        raise DiscriminantMismatch(f"{dc.disc()} != {seed.D}")
-    E = MordellCurve.e_d_prime(seed.D)
-    return CurvePoint(E, 12 * dc.m, 108 * dc.n)

@@ -73,10 +73,6 @@ class ZeroDiscriminant(ValidationError):
     pass
 
 
-class ReduciblePolynomial(ValidationError):
-    pass
-
-
 class DiscriminantMismatch(ValidationError):
     pass
 
@@ -96,10 +92,6 @@ class OffCurve(ValidationError):
 
 
 class KernelXZero(ValidationError):
-    pass
-
-
-class DegenerateDenominator(ValidationError):
     pass
 
 

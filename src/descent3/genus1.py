@@ -3,10 +3,12 @@
 A class of the lambda-Selmer group is realized by a plane genus-1 curve
 G(x,y) = z^3 with G an integral binary cubic of discriminant D.  Monic
 classes carry the constructive rational points Q_0 = (1:0:1) and
-Q_{m/n} = (n:m:n); non-monic enumerated classes are expected to have
-points everywhere locally but not globally.  This module provides the
-three ingredients for a verdict: bounded global point search, p-adic
-solvability, and the assembly with its conditionality bookkeeping.
+Q_{m/n} = (n:m:n).  A non-monic class may or may not have a rational
+point: the four non-monic classes of D = -4897363 all have small ones,
+while those of D = 48035713 have none in the searched box.  This module
+provides the three ingredients for a verdict: bounded global point
+search, p-adic solvability, and the assembly with its conditionality
+bookkeeping.
 
 The global search is exact.  It shares the residue sieve of cubicforms
 with the monic search: a cell survives only if its value is a cube modulo
@@ -321,15 +323,6 @@ def locally_solvable(C: HomogeneousSpace, p, effort: int = 24):
         raise AssertionError("cubic vanished at five points")
     if not sympy.isprime(p):
         raise BadPrime(f"{p} is not prime")
-
-    # fast path: good reduction and p large enough for Hasse-Weil
-    if p > 43 and (3 * disc(F)) % p != 0:
-        for t in range(min(p, 120)):
-            val = F(1, t) % p
-            if val and _unit_is_cube(val, p):
-                hit = {"t": t, "coord": t, "chart": "A", "v": 0, "unit": F(1, t)}
-                return ("yes", _witness_from_hit(F, p, hit))
-        # fall through (should not happen: a smooth cubic has a point)
 
     a, b, c, d = F.coeffs()
     charts = (

@@ -30,6 +30,10 @@ dimension mod 3 follows from the exact sequence
 each relation mod lambda names a point T = lambda(P) of the kernel, and
 T lies in 3E_D' iff psi(P) is a cube, so the psi(P) add their rank.
 
+Monic forms give points of E_D' through the syzygy 4H^3 = G^2 + 27DF^2
+at (1, 0), which reads G^2 = 4P^3 - 27D (syzygy_point,
+search_monic_points).
+
 All arithmetic is exact (Fraction coordinates, integer root isolation),
 so points with thousand-digit coordinates are fine.
 """
@@ -268,30 +272,34 @@ def in_lambda_image(S: CurvePoint, D: int) -> bool:
     return psi_prime(S, D).is_cube_class()
 
 
-# --- monic lattice search ---
+# --- monic points ---
+
+def syzygy_point(D: int, P: int, G: int) -> CurvePoint:
+    """The point (4P, 4G) of E_D': Y^2 = X^3 - 432D, where (P, G) solves
+    G^2 = 4P^3 - 27D.  For a monic form (1, b, c, d) of discriminant D,
+    P = b^2 - 3c and G = 2b^3 - 9bc + 27d are its Hessian and cubic
+    covariant at (1, 0) (cubicforms.syzygy_pair).  Raises OffCurve when
+    (P, G) is not on that curve."""
+    return CurvePoint(MordellCurve.e_d_prime(D), 4 * P, 4 * G)
+
 
 def search_monic_points(D: int, bound: int) -> list[CurvePoint]:
-    """Points of E_D' from monic trinomials x^3 - mx + n of discriminant D.
+    """The points syzygy_point(D, P, +-G) of the monic forms (1, b, c, d)
+    of discriminant D with |P| <= 3*bound, sorted by (x, y).
 
-    Two integer lattices, disjoint because 3 never divides M in the second:
-      (i)  integral (m, n):   27 n^2 = 4 m^3 - D        -> (12m, +-108n)
-      (ii) (m, n) = (M/3, N/27), 3 not | M:  N^2 = 4M^3 - 27D -> (4M, +-4N)
-    over |m| <= bound and |M| <= 3*bound.  Each is a curve
-    coef * t^2 = 4s^3 - c, searched by arith.cubic_square_points: the
-    range starts at the least index whose right-hand side is >= 0, a
-    residue sieve drops only indices that cannot be on the curve, and
-    each survivor gets the exact isqrt test.  The points come back
-    sorted by (x, y)."""
-    E2 = MordellCurve.e_d_prime(D)
+    One pass of arith.cubic_square_points over G^2 = 4P^3 - 27D finds
+    every (P, G), G >= 0.  A point with 3 | P comes from a monic form
+    exactly when 27 | G: such a form has 3 | b, hence 27 | G, and
+    P = 3m, G = 27n is the form (1, 0, -m, n).  Every point with 3 not
+    dividing P is kept: then P = 1 (mod 3) and G = +-(3P - 1) (mod 27),
+    so b = +-1, c = (1 - P)/3 and d = (G - 2b^3 + 9bc)/27 is integral."""
     out = []
-    for m, n in cubic_square_points(D, 27, -bound, bound):
-        for s in ((n, -n) if n else (0,)):
-            out.append(CurvePoint(E2, 12 * m, 108 * s))
-    for M, N in cubic_square_points(27 * D, 1, -3 * bound, 3 * bound,
-                                    prime_to_3=True):
-        for s in ((N, -N) if N else (0,)):
-            out.append(CurvePoint(E2, 4 * M, 4 * s))
-    out.sort(key=lambda P: (P.x, P.y))
+    for P, G in cubic_square_points(27 * D, -3 * bound, 3 * bound):
+        if P % 3 == 0 and G % 27:
+            continue
+        for g in ((G, -G) if G else (0,)):
+            out.append(syzygy_point(D, P, g))
+    out.sort(key=lambda S: (S.x, S.y))
     return out
 
 

@@ -8,12 +8,14 @@ independent imaginary-quadratic class-group oracle for D < 0.
 
 The monic rank is the dimension of the subspace of E_D'(Q)/lambda(E_D(Q))
 spanned by the points attached to monic-representable classes, not the raw
-count of such classes (several classes can sit in a small span).  It is
-computed once from the class list (monic_representative on each class, then
-the depressed trinomial's point) and once from the direct lattice search
-(search_monic_points); the two must agree, and a mismatch raises instead of
-silently picking a side, since within sufficient bounds their equality is a
-theorem.  Everything resting on finiteness of Sha[3^oo] is labeled so.
+count of such classes (several classes can sit in a small span).  A monic
+form (1, b, c, d) sits at the point (4P, 4G) of E_D', P and G its Hessian
+and cubic covariant at (1, 0) (syzygy_pair, syzygy_point).  The rank is
+computed once from the class list (monic_representative on each class)
+and once from the direct search over G^2 = 4P^3 - 27D
+(search_monic_points); the two must agree, and a mismatch raises instead
+of silently picking a side, since within sufficient bounds their equality
+is a theorem.  Everything resting on finiteness of Sha[3^oo] is labeled so.
 """
 
 import json
@@ -21,13 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_squarefree, xgcd
-from .cubicforms import (BinaryCubicForm, depress, enumerate_classes,
-                         monic_representative, point_from_depressed)
+from .cubicforms import (BinaryCubicForm, enumerate_classes,
+                         monic_representative, syzygy_pair)
 from .errors import (ExcludedDiscriminant, InconsistencyError,
                      InconsistentInputs, PositiveDiscriminant)
 from .genus1 import Genus1Verdict, HomogeneousSpace, hasse_verdict
 from .mordell import (CurvePoint, MordellCurve, search_monic_points,
-                      span_dim_mod_3, span_dim_mod_lambda)
+                      span_dim_mod_3, span_dim_mod_lambda, syzygy_point)
 from .seeds import DiscriminantSeed
 
 
@@ -316,12 +318,8 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
     monic_flags = [rep.status for rep in reps]
     found_count = sum(1 for rep in reps if rep.found)
 
-    class_points = []
-    for rep in reps:
-        if rep.found:
-            G = rep.form
-            dc = depress(G.b, G.c, G.d)
-            class_points.append(point_from_depressed(dc, seed))
+    class_points = [syzygy_point(D, *syzygy_pair(rep.form))
+                    for rep in reps if rep.found]
     searched = search_monic_points(D, point_bound)
 
     dim_from_classes = span_dim_mod_lambda(class_points, D)

@@ -1,6 +1,6 @@
 """Bundled example datasets and their from-scratch regeneration.
 
-Four fixtures ship with the package: the six trinomials and curve points
+Four fixtures ship with the package: the six monic cubics and curve points
 for the rank-6 discriminant -4897363 (table 1), two lists of seed rows
 with nontrivial conditional Sha[3] (tables 3 and 4, negative and positive
 discriminants), and the four form classes of discriminant 48035713.  Each
@@ -9,14 +9,15 @@ list of human-readable mismatches, empty when everything agrees; the CLI
 turns a nonempty list into exit code 3.
 
 Printed points carry a positive-y convention, so point comparisons are up
-to the sign of y (negating a point negates n in the trinomial and lands in
-the same class).
+to the sign of y (negating a point negates the covariant G, which turns
+the monic form (1, b, c, d) into its equivalent (1, -b, c, -d)).
 """
 
-from .cubicforms import (BinaryCubicForm, depress, enumerate_classes,
-                         point_from_depressed, reduce)
+from .cubicforms import (BinaryCubicForm, disc, enumerate_classes,
+                         is_irreducible, reduce, syzygy_pair)
 from .errors import DescentError
-from .mordell import search_monic_points, span_dim_mod_3, span_dim_mod_lambda
+from .mordell import (search_monic_points, span_dim_mod_3,
+                      span_dim_mod_lambda, syzygy_point)
 from .report import conditional_rank_sha3, r3_from_fields
 from .seeds import make_seed
 
@@ -32,7 +33,7 @@ TABLE_1 = (
     ((-1, -539, -4660), (6472, 522692)),
     ((0, -55910, 5088413), (670920, 549548604)),
 )
-# the last trinomial's point sits at m = 55910, hence this search radius
+# the last cubic's point has P = 3 * 55910, hence this search radius
 TABLE_1_POINT_BOUND = 56000
 
 # rows (m, n, D): D < -4, r3 = 2, rank 2, dim Sha[3] = 2 (parity-conditional)
@@ -90,30 +91,29 @@ def check_discriminants() -> list:
 
 
 def check_table_1() -> list:
-    """Regenerate the rank-6 fixture: each trinomial has the right
-    discriminant, its point is found by the lattice search and lies on the
-    curve, the first three points span the quotient mod lambda, and all
-    six are independent mod 3."""
+    """Regenerate the rank-6 fixture: each monic cubic is irreducible with
+    the right discriminant, its syzygy point is the printed one and is
+    found by the monic search, the first three points span the quotient
+    mod lambda, and all six are independent mod 3."""
     problems = []
     seed = make_seed(*TABLE_1_SEED)
     searched_x = {P.x for P in search_monic_points(seed.D, TABLE_1_POINT_BOUND)}
     points = []
     for coeffs, (X, Y) in TABLE_1:
         label = f"x^3 + {coeffs[0]}x^2 + {coeffs[1]}x + {coeffs[2]}"
-        try:
-            dc = depress(*coeffs)
-        except DescentError as e:
-            problems.append(f"{label}: {e}")
+        F = BinaryCubicForm(1, *coeffs)
+        if not is_irreducible(F):
+            problems.append(f"{label}: reducible")
             continue
-        if dc.disc() != seed.D:
-            problems.append(f"{label}: disc {dc.disc()} != {seed.D}")
+        if disc(F) != seed.D:
+            problems.append(f"{label}: disc {disc(F)} != {seed.D}")
             continue
-        P = point_from_depressed(dc, seed)
+        P = syzygy_point(seed.D, *syzygy_pair(F))
         if (P.x, abs(P.y)) != (X, abs(Y)):
             problems.append(f"{label}: point {P} != ({X}, {Y})")
             continue
         if P.x not in searched_x:
-            problems.append(f"{label}: point not found by the lattice search")
+            problems.append(f"{label}: point not found by the monic search")
         points.append(P if P.y == Y else -P)
     if len(points) == len(TABLE_1):
         d_lam = span_dim_mod_lambda(points[:3], seed.D)

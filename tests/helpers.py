@@ -13,13 +13,15 @@ from math import gcd, isqrt
 
 import sympy
 
-from descent3.arith import divisors, iroot
-from descent3.errors import PreimageMissing, ReduciblePolynomial, ZeroInput
+from dataclasses import dataclass
+
+from descent3.arith import divisors, integer_roots_monic_cubic, iroot
+from descent3.errors import DiscriminantMismatch, PreimageMissing, ZeroInput
 from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
-                      act, add, disc, depress, hessian, in_lambda_image,
-                      is_cube, is_irreducible, lambda_dual, lambda_map,
+                      act, add, disc, hessian, in_lambda_image, is_cube,
+                      is_irreducible, lambda_dual, lambda_map,
                       lambda_preimage, mul_scalar, psi, psi_prime, reduce,
-                      scan, virtual_unit)
+                      scan, syzygy_pair, virtual_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +568,7 @@ def run_isogeny_suite(min_cases: int = 1000, min_seeds: int = 20,
                 f"psi' homomorphism failed at D={D}, {S1.x},{S2.x}"
             cases += 1
 
-    # random covariant and depression identities
+    # random covariant and syzygy identities
     for _ in range(400):
         a, b, c, d = (rng.randint(-30, 30) for _ in range(4))
         if a == b == c == d == 0:
@@ -577,14 +579,12 @@ def run_isogeny_suite(min_cases: int = 1000, min_seeds: int = 20,
         cases += 1
 
     for _ in range(300):
-        a, b, c = (rng.randint(-20, 20) for _ in range(3))
-        try:
-            dc = depress(a, b, c)
-        except ReduciblePolynomial:
+        a, b, c, d = (rng.randint(-20, 20) for _ in range(4))
+        if a == b == c == d == 0:
             continue
-        lhs = 4 * Fraction(dc.m) ** 3 - 27 * Fraction(dc.n) ** 2
-        rhs = disc_formula(1, a, b, c)
-        assert lhs == rhs, f"depress changed the discriminant at {(a, b, c)}"
+        P, G = syzygy_pair(BinaryCubicForm(a, b, c, d))
+        assert 4 * P**3 - 27 * disc_formula(a, b, c, d) * a * a == G * G, \
+            f"syzygy fails at {(a, b, c, d)}"
         cases += 1
 
     for _ in range(200):
@@ -599,6 +599,58 @@ def run_isogeny_suite(min_cases: int = 1000, min_seeds: int = 20,
     if cases < min_cases:
         raise AssertionError(f"suite too small: {cases} < {min_cases}")
     return {"cases": cases, "seeds": len(seeds)}
+
+
+# ---------------------------------------------------------------------------
+# the depressed-trinomial route from a monic form to its point of E_D'
+
+@dataclass(frozen=True)
+class DepressedCubic:
+    """X^3 - mX + n; (m, n) integral or exactly (M/3, N/27)."""
+    m: Fraction
+    n: Fraction
+
+    def __post_init__(self):
+        dm, dn = self.m.denominator, self.n.denominator
+        if (dm, dn) not in ((1, 1), (3, 27)):
+            raise ValueError(f"bad denominator pattern ({dm}, {dn})")
+
+    def disc(self) -> int:
+        val = 4 * self.m**3 - 27 * self.n**2
+        assert val.denominator == 1
+        return int(val)
+
+    @property
+    def integral(self) -> bool:
+        return self.m.denominator == 1
+
+
+def depress(a: int, b: int, c: int) -> DepressedCubic:
+    """Depress monic x^3 + ax^2 + bx + c (integer coefficients) to
+    X^3 - mX + n; the discriminant is unchanged.  A rational root of a
+    monic integer cubic is an integer, so exact root isolation decides
+    reducibility without factoring c."""
+    if integer_roots_monic_cubic(a, b, c):
+        raise ValueError(f"x^3 + {a}x^2 + {b}x + {c} is reducible")
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    m = a * a / 3 - b
+    n = c + 2 * a**3 / 27 - a * b / 3
+    return DepressedCubic(m, n)
+
+
+def point_from_depressed(dc: DepressedCubic, D: int):
+    """The rational point (12m, 108n) on E_D': Y^2 = X^3 - 432D."""
+    if dc.disc() != D:
+        raise DiscriminantMismatch(f"{dc.disc()} != {D}")
+    E = MordellCurve.e_d_prime(D)
+    return CurvePoint(E, 12 * dc.m, 108 * dc.n)
+
+
+def naive_depressed_point(F, D: int):
+    """The point of E_D' of the irreducible monic form F = (1, b, c, d),
+    through its depressed trinomial."""
+    assert F.a == 1
+    return point_from_depressed(depress(F.b, F.c, F.d), D)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,17 @@
 
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 import sympy
 
 import helpers
-from descent3 import (BinaryCubicForm, act, depress, disc, enumerate_classes,
+from descent3 import (BinaryCubicForm, act, disc, enumerate_classes,
                       equivalent, hessian, is_irreducible, make_seed,
-                      monic_representative, point_from_depressed, reduce,
-                      scan)
+                      monic_representative, reduce, scan, syzygy_pair,
+                      syzygy_point)
 from descent3.cubicforms import candidate_forms
-from descent3.errors import (DiscriminantMismatch, ReduciblePolynomial)
+from descent3.errors import OffCurve
 from helpers import rational_roots
 
 
@@ -125,49 +124,55 @@ def test_monic_representative_transform_is_recorded(classes_48035713):
     assert disc(hit[0].form) == 48035713
 
 
-def test_depress_and_point():
-    seed = make_seed(1, 1)
-    dc = depress(0, -1, 1)                          # x^3 - x + 1, disc -23
-    assert (Fraction(4) * Fraction(dc.m) ** 3
-            - Fraction(27) * Fraction(dc.n) ** 2) == -23
-    P = point_from_depressed(dc, seed)
-    assert P.y ** 2 == P.x ** 3 - 432 * seed.D
+def test_syzygy_point_of_x3_minus_x_plus_1():
+    F = BinaryCubicForm(1, 0, -1, 1)                # x^3 - x + 1, disc -23
+    P, G = syzygy_pair(F)
+    assert (P, G) == (3, 27)
+    S = syzygy_point(-23, P, G)
+    assert (S.x, S.y) == (12, 108)
+    assert syzygy_point(-23, P, -G) == -S
 
 
-def test_depress_rejects_reducible():
-    with pytest.raises(ReduciblePolynomial):
-        depress(0, 0, -8)                           # x^3 - 8
+def test_syzygy_point_rejects_other_discriminant():
+    F = BinaryCubicForm(1, 0, -229, 3)              # disc 48035713
+    with pytest.raises(OffCurve):
+        syzygy_point(-23, *syzygy_pair(F))
 
 
-def _depress_rejects(a, b, c):
-    try:
-        depress(a, b, c)
-    except ReduciblePolynomial:
-        return True
-    return False
+def _random_irreducible_monic(rng, sign, count):
+    forms = []
+    while len(forms) < count:
+        F = BinaryCubicForm(1, *(rng.randint(-60, 60) for _ in range(3)))
+        if disc(F) * sign > 0 and is_irreducible(F):
+            forms.append(F)
+    return forms
 
 
-def test_depress_reducibility_matches_rational_roots():
-    # random monic cubics, then planted (x - r)(x^2 + px + q) with
-    # constant terms near 10^10, where factoring the constant was slow
-    rng = random.Random(523)
-    cases = [tuple(rng.randint(-40, 40) for _ in range(3))
-             for _ in range(1500)]
-    for _ in range(40):
-        r, p, q = (rng.randint(-10**5, 10**5) for _ in range(3))
-        cases.append((p - r, q - r * p, -r * q))
-    reducible = 0
-    for a, b, c in cases:
-        want = bool(rational_roots([c, b, a, 1]))
-        assert _depress_rejects(a, b, c) == want, (a, b, c)
-        reducible += want
-    assert reducible >= 40
+def test_syzygy_point_matches_depressed_route_on_random_forms():
+    rng = random.Random(7107)
+    for sign in (1, -1):
+        for F in _random_irreducible_monic(rng, sign, 600):
+            D = disc(F)
+            assert (syzygy_point(D, *syzygy_pair(F))
+                    == helpers.naive_depressed_point(F, D)), F
 
 
-def test_point_from_depressed_guards_disc():
-    seed = make_seed(1, 1)
-    with pytest.raises(DiscriminantMismatch):
-        point_from_depressed(depress(0, -229, 3), seed)
+# the anchors and the pool seeds of the benchmark workloads
+BENCH_SEEDS = ((1, 1), (7, 3), (-34, 419), (229, 3), (-73, 1), (-46, 1),
+               (-19, 13), (-130, 21), (-196, 39))
+
+
+def test_syzygy_point_matches_depressed_route_on_bench_classes():
+    found = 0
+    for m, n in BENCH_SEEDS:
+        D = make_seed(m, n).D
+        for F in enumerate_classes(D):
+            rep = monic_representative(F, 1000)
+            if rep.found:
+                assert (syzygy_point(D, *syzygy_pair(rep.form))
+                        == helpers.naive_depressed_point(rep.form, D)), (D, F)
+                found += 1
+    assert found >= 20, found
 
 
 def test_box_oracle_small_discs():

@@ -137,7 +137,7 @@ def test_global_search_far_point_pinned():
     assert global_search(C, 10**4) == (841, -983, 4886)
 
 
-# --- the monic lattice search on E_D' against a walk over every index ---
+# --- the monic search on E_D' against a walk over both lattices ---
 
 def _coords(points):
     return [(P.x, P.y) for P in points]
@@ -193,6 +193,14 @@ def test_monic_sieve_exact_cutoff_for_huge_discriminants():
         for bound in (0, m0 - 1, m0, m0 + 1, 14000):
             _assert_monic_matches(D, bound)
     assert _assert_monic_matches(4 * m0**3 - 27 * 9**2, m0) == 2
+
+
+def test_monic_search_drops_syzygy_points_of_no_monic_form():
+    # D = 29 = 4*2^3 - 3*1^2 puts (P, G) = (6, 9), i.e. (24, +-36), on
+    # E_D', but 3 | P and 27 does not divide G, so no monic form gives it
+    pts = search_monic_points(29, 10)
+    assert _coords(pts) == [(112, -1180), (112, 1180)]
+    assert _coords(helpers.naive_monic_points(29, 10)) == _coords(pts)
 
 
 def test_monic_sieve_on_bench_anchors():

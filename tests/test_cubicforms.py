@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -12,7 +13,7 @@ from descent3 import (BinaryCubicForm, act, disc, enumerate_classes,
                       monic_representative, reduce, scan, syzygy_pair,
                       syzygy_point)
 from descent3.cubicforms import candidate_forms
-from descent3.errors import OffCurve
+from descent3.errors import DiscriminantMismatch, OffCurve
 from helpers import rational_roots
 
 
@@ -137,6 +138,54 @@ def test_syzygy_point_rejects_other_discriminant():
     F = BinaryCubicForm(1, 0, -229, 3)              # disc 48035713
     with pytest.raises(OffCurve):
         syzygy_point(-23, *syzygy_pair(F))
+
+
+# the depressed-trinomial oracle in helpers, which the syzygy route is
+# checked against below
+
+def test_depress_and_point():
+    D = make_seed(1, 1).D
+    dc = helpers.depress(0, -1, 1)                  # x^3 - x + 1, disc -23
+    assert (Fraction(4) * Fraction(dc.m) ** 3
+            - Fraction(27) * Fraction(dc.n) ** 2) == -23
+    P = helpers.point_from_depressed(dc, D)
+    assert P.y ** 2 == P.x ** 3 - 432 * D
+
+
+def test_depress_rejects_reducible():
+    with pytest.raises(ValueError):
+        helpers.depress(0, 0, -8)                   # x^3 - 8
+
+
+def _depress_rejects(a, b, c):
+    try:
+        helpers.depress(a, b, c)
+    except ValueError:
+        return True
+    return False
+
+
+def test_depress_reducibility_matches_rational_roots():
+    # random monic cubics, then planted (x - r)(x^2 + px + q) with
+    # constant terms near 10^10, where factoring the constant was slow
+    rng = random.Random(523)
+    cases = [tuple(rng.randint(-40, 40) for _ in range(3))
+             for _ in range(1500)]
+    for _ in range(40):
+        r, p, q = (rng.randint(-10**5, 10**5) for _ in range(3))
+        cases.append((p - r, q - r * p, -r * q))
+    reducible = 0
+    for a, b, c in cases:
+        want = bool(rational_roots([c, b, a, 1]))
+        assert _depress_rejects(a, b, c) == want, (a, b, c)
+        reducible += want
+    assert reducible >= 40
+
+
+def test_point_from_depressed_guards_disc():
+    D = make_seed(1, 1).D
+    with pytest.raises(DiscriminantMismatch):
+        helpers.point_from_depressed(helpers.depress(0, -229, 3), D)
 
 
 def _random_irreducible_monic(rng, sign, count):

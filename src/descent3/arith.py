@@ -146,8 +146,7 @@ def divisors(n: int, budget: int = 10**6) -> list[int]:
     return sorted(out)
 
 
-def squarefree_status(n: int, trial_bound: int = TRIAL_BOUND,
-                      budget: int = 10**5) -> bool | None:
+def squarefree_status(n: int, budget: int = 10**5) -> bool | None:
     """True / False / None (= could not decide within the effort budget)."""
     if n == 0:
         raise ZeroInput("squarefree is undefined for 0")
@@ -155,21 +154,21 @@ def squarefree_status(n: int, trial_bound: int = TRIAL_BOUND,
     if n == 1:
         return True
     for p in small_primes():
-        if p > trial_bound or p * p > n:
+        if p * p > n:
             break
         if n % p == 0:
             n //= p
             if n % p == 0:
                 return False
-    if n == 1 or n <= trial_bound:
+    if n == 1 or n <= TRIAL_BOUND:
         return True
     if sympy.isprime(n):
         return True
     r = isqrt(n)
     if r * r == n:
         return False
-    if n < trial_bound**3:
-        # no factor <= trial_bound and not a square: n = p or p*q, distinct
+    if n < TRIAL_BOUND**3:
+        # no factor <= TRIAL_BOUND and not a square: n = p or p*q, distinct
         return True
     try:
         fac = factorize(n, budget)

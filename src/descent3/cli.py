@@ -13,7 +13,6 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .arith import iroot
 from .cubicforms import enumerate_classes, monic_representative
@@ -24,28 +23,6 @@ from .report import (build_report, report_csv_header, report_from_json,
                      report_to_csv, report_to_json)
 from .seeds import make_seed, scan as seed_scan
 from . import tables
-
-
-@dataclass
-class Config:
-    """Search bounds and output knobs; defaults sized for the worked
-    examples (monic points 10^5, global cube search 10^4, representing-1
-    search 10^3, local tests at p <= 100 plus the bad primes)."""
-    point_bound: int = 10**5
-    global_bound: int = 10**4
-    rep_bound: int = 10**3
-    primes_max: int = 100
-    effort: int = 24
-    fmt: str = "text"
-    cache: str | None = None
-    jobs: int = 1
-    run_hasse: bool = True
-
-    def __post_init__(self):
-        for name in ("point_bound", "global_bound", "rep_bound",
-                     "primes_max", "effort", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -65,13 +42,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="append-only NDJSON result cache (last record wins)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for scan")
-
-
-def _config(args) -> Config:
-    return Config(point_bound=args.bound_monic, global_bound=args.bound_global,
-                  rep_bound=args.bound_rep, primes_max=args.primes_max,
-                  effort=args.effort, fmt=args.fmt, cache=args.cache,
-                  jobs=args.jobs, run_hasse=getattr(args, "hasse", True))
 
 
 def _recover_seed(disc: int, search: int = 10**4):
@@ -112,10 +82,16 @@ _SETTINGS = ("rep_bound", "point_bound", "global_bound", "primes_max",
              "effort")
 
 
-def _report_kwargs(cfg: Config) -> dict:
-    return dict(rep_bound=cfg.rep_bound, point_bound=cfg.point_bound,
-                global_bound=cfg.global_bound, primes_max=cfg.primes_max,
-                effort=cfg.effort, run_hasse=cfg.run_hasse)
+def _report_kwargs(args) -> dict:
+    """The build_report keyword arguments of the parsed options, after
+    checking that every bound, budget and --jobs is positive."""
+    kwargs = dict(rep_bound=args.bound_rep, point_bound=args.bound_monic,
+                  global_bound=args.bound_global, primes_max=args.primes_max,
+                  effort=args.effort)
+    for name, value in (*kwargs.items(), ("jobs", args.jobs)):
+        if value < 1:
+            raise ValidationError(f"{name} must be positive")
+    return dict(kwargs, run_hasse=getattr(args, "hasse", True))
 
 
 def _cache_key(D: int, kwargs: dict) -> tuple:
@@ -180,18 +156,17 @@ def _emit_report(rep, fmt: str, header: bool = False):
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config(args)
+    kwargs = _report_kwargs(args)
     seed = _seed_from_args(args)
-    cache = _cache_load(cfg.cache)
-    kwargs = _report_kwargs(cfg)
+    cache = _cache_load(args.cache)
     key = _cache_key(seed.D, kwargs)
     if key in cache:
         print(f"cache hit D = {seed.D}", file=sys.stderr)
         rep = report_from_json(cache[key])
     else:
         rep = build_report(seed, **kwargs)
-        _cache_append(cfg.cache, report_to_json(rep))
-    _emit_report(rep, cfg.fmt, header=True)
+        _cache_append(args.cache, report_to_json(rep))
+    _emit_report(rep, args.fmt, header=True)
     return 0
 
 
@@ -231,12 +206,11 @@ def _scan_worker(payload):
 
 
 def cmd_scan(args) -> int:
-    cfg = _config(args)
+    kwargs = _report_kwargs(args)
     m_range = _parse_range(args.m_range)
     n_range = _parse_range(args.n_range)
     filters = [_parse_filter(f) for f in args.filter or ()]
-    cache = _cache_load(cfg.cache)
-    kwargs = _report_kwargs(cfg)
+    cache = _cache_load(args.cache)
 
     seeds = list(seed_scan(m_range, n_range))
     todo, lines = [], {}
@@ -248,26 +222,26 @@ def cmd_scan(args) -> int:
         else:
             todo.append((seed.m, seed.n, kwargs))
 
-    if cfg.jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if args.jobs > 1 and len(todo) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for (m, n, _), line in zip(todo, pool.map(_scan_worker, todo)):
                 lines[(m, n)] = line
-                _cache_append(cfg.cache, line)
+                _cache_append(args.cache, line)
     else:
         for payload in todo:
             line = _scan_worker(payload)
             lines[(payload[0], payload[1])] = line
-            _cache_append(cfg.cache, line)
+            _cache_append(args.cache, line)
 
     first = True
     for seed in seeds:                      # normalized emission order
         line = lines[(seed.m, seed.n)]
         rep = report_from_json(line)
         if all(f(rep) for f in filters):
-            if cfg.fmt == "csv":
+            if args.fmt == "csv":
                 _emit_report(rep, "csv", header=first)
                 first = False
-            elif cfg.fmt == "text":
+            elif args.fmt == "text":
                 _emit_report(rep, "text")
                 print()
             else:
@@ -305,23 +279,23 @@ def cmd_tables(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    cfg = _config(args)
+    kwargs = _report_kwargs(args)
     seed = _seed_from_args(args)
     for F in enumerate_classes(seed.D):
         C = HomogeneousSpace(F, seed)
-        v = hasse_verdict(C, rep_bound=cfg.rep_bound,
-                          global_bound=cfg.global_bound,
-                          primes_max=cfg.primes_max, effort=cfg.effort,
-                          enumerated=True)
+        v = hasse_verdict(C, monic_representative(F, kwargs["rep_bound"]),
+                          global_bound=kwargs["global_bound"],
+                          primes_max=kwargs["primes_max"],
+                          effort=kwargs["effort"], enumerated=True)
         print(f"{C}: {v}" + (f"  [{v.notes}]" if v.notes else ""))
     return 0
 
 
 def cmd_forms(args) -> int:
-    cfg = _config(args)
+    kwargs = _report_kwargs(args)
     seed = _seed_from_args(args)
     for F in enumerate_classes(seed.D):
-        rep = monic_representative(F, cfg.rep_bound)
+        rep = monic_representative(F, kwargs["rep_bound"])
         print(f"{F}  {rep.status}")
     return 0
 

@@ -42,9 +42,8 @@ from math import gcd, isqrt
 from .arith import (bit_indices, cube_root_exact, cubic_square_points,
                     integer_roots_monic_cubic, iroot, is_squarefree,
                     tile_residues, xgcd)
-from .errors import (DegenerateDiscriminant, CountNotOfExpectedShape,
-                     NotSquarefree, NotUnimodular, ReducibleForm,
-                     ZeroDiscriminant)
+from .errors import (DegenerateDiscriminant, InconsistencyError,
+                     NotSquarefree, ValidationError)
 
 _S = ((0, -1), (1, 0))
 _J = ((1, 0), (0, -1))
@@ -130,7 +129,7 @@ def syzygy_pair(F: BinaryCubicForm) -> tuple[int, int]:
 def act(F: BinaryCubicForm, M) -> BinaryCubicForm:
     """Substitution (x, y) <- (px + qy, rx + sy) for M = ((p,q),(r,s))."""
     if _det(M) not in (1, -1):
-        raise NotUnimodular(f"det = {_det(M)}")
+        raise ValidationError(f"matrix is not unimodular: det = {_det(M)}")
     (p, q), (r, s) = M
     a, b, c, d = F.coeffs()
     a2 = F(p, r)
@@ -156,9 +155,9 @@ def is_irreducible(F: BinaryCubicForm) -> bool:
 
 def _check_reducible(F: BinaryCubicForm):
     if disc(F) == 0:
-        raise ZeroDiscriminant(str(F))
+        raise ValidationError(f"form {F} has discriminant 0")
     if not is_irreducible(F):
-        raise ReducibleForm(str(F))
+        raise ValidationError(f"form {F} is reducible")
 
 
 # --- positive-definite quadratic form reduction (used when disc(F) > 0) ---
@@ -377,7 +376,8 @@ def enumerate_classes(D: int) -> list[BinaryCubicForm]:
     while 3**r < twice1:
         r += 1
     if 3**r != twice1:
-        raise CountNotOfExpectedShape(f"{len(classes)} classes for D = {D}")
+        raise InconsistencyError(
+            f"{len(classes)} classes for D = {D}, not (3^r - 1)/2 for any r")
     return classes
 
 
@@ -434,76 +434,61 @@ def _residue_patterns(F: BinaryCubicForm, m: int, allowed) -> list[int]:
     return pats
 
 
-class _Sieve:
-    """Residue patterns of one form for one target, built per modulus on
-    first use and tiled per row residue on first use (most rows die after
-    a few moduli)."""
-
-    def __init__(self, F: BinaryCubicForm, target: str):
-        self.F = F
-        self.allowed, self.accept = _TARGETS[target]
-        self.patterns = [None] * len(_SIEVE_MODULI)
-
-    def hits(self, ys, lo: int, width: int) -> list[tuple[int, int]]:
-        """Verified hits of the cells (x, y), y in ys, lo <= x < lo + width,
-        gcd 1, and of their mirrors (-x, -y)."""
-        F, accept = self.F, self.accept
-        masks = [None] * len(_SIEVE_MODULI)
-        full = (1 << width) - 1
-        out = []
-        for y in ys:
-            row = full
-            for k, m in enumerate(_SIEVE_MODULI):
-                ms = masks[k]
-                if ms is None:
-                    if self.patterns[k] is None:
-                        self.patterns[k] = _residue_patterns(F, m, self.allowed(m))
-                    ms = masks[k] = [None] * m
-                t = y % m
-                mask = ms[t]
-                if mask is None:
-                    mask = ms[t] = tile_residues(self.patterns[k][t], m, lo,
-                                                 width)
-                row &= mask
-                if not row:
-                    break
-            if not row:
-                continue
-            for x in bit_indices(row, lo):
-                if gcd(x, y) == 1:
-                    v = F(x, y)
-                    if accept(v):
-                        out.append((x, y))
-                    if accept(-v):
-                        out.append((-x, -y))
-        return out
-
-
 def _sieved_search(F: BinaryCubicForm, bound: int, target: str):
     """The first coprime (x, y) with |x|, |y| <= bound, in the order
     (max(|x|, |y|), x, y), whose value F(x, y) meets the target ('cube':
     a perfect cube, 'unit': exactly 1); None when the box has none.
 
     Boxes of radius 1, 2, 4, ... (the last one capped at bound) are
-    searched in turn, each only on its new annulus, and the search stops
-    at the first radius with a hit.  That returns exactly the first hit of
-    the whole box: every cell of smaller max-norm lies in an earlier
-    radius, which had none, and the minimum is taken over the full radius
-    that has one.  (0, 0) is never coprime and is never visited.
+    searched in turn, and the search stops at the first radius with a hit.
+    That returns exactly the first hit of the whole box: every cell of
+    smaller max-norm lies in an earlier radius, which had none, and the
+    minimum is taken over the full radius that has one.  (0, 0) is never
+    coprime and is never visited.
 
-    Only the upper half-plane y >= 0 of each annulus is sieved.  Since
-    F(-x, -y) = -F(x, y), every cell with y < 0 is the mirror (-x, -y) of
-    a sieved cell, and it is a hit exactly when -F(x, y) meets the target,
-    so each cell of the box is still decided once (row 0 twice)."""
-    sieve = _Sieve(F, target)
+    Radius r sieves the rows y = 0 .. r over x = -r .. r in one loop; a
+    row y <= done starts from a hole mask that clears |x| <= done, the
+    cells the previous radius decided.  Residue patterns are built per
+    modulus and masks tiled per row residue on first use, with one mask
+    cache per radius that all its rows share.
+
+    Only the upper half-plane y >= 0 is sieved.  Since F(-x, -y) =
+    -F(x, y), every cell with y < 0 is the mirror (-x, -y) of a sieved
+    cell, and it is a hit exactly when -F(x, y) meets the target, so each
+    cell of the box is still decided once (row 0 twice)."""
+    allowed, accept = _TARGETS[target]
+    patterns = [None] * len(_SIEVE_MODULI)
     done = 0
     while done < bound:
         r = min(2 * done or 1, bound)
-        outer = range(done + 1, r + 1)
-        inner = range(0, done + 1)
-        hits = (sieve.hits(outer, -r, 2 * r + 1)
-                + sieve.hits(inner, -r, r - done)
-                + sieve.hits(inner, done + 1, r - done))
+        full = (1 << (2 * r + 1)) - 1
+        hole = full ^ (((1 << (2 * done + 1)) - 1) << (r - done))
+        masks = [None] * len(_SIEVE_MODULI)
+        hits = []
+        for y in range(r + 1):
+            row = hole if y <= done else full
+            for k, m in enumerate(_SIEVE_MODULI):
+                ms = masks[k]
+                if ms is None:
+                    if patterns[k] is None:
+                        patterns[k] = _residue_patterns(F, m, allowed(m))
+                    ms = masks[k] = [None] * m
+                t = y % m
+                mask = ms[t]
+                if mask is None:
+                    mask = ms[t] = tile_residues(patterns[k][t], m, -r,
+                                                 2 * r + 1)
+                row &= mask
+                if not row:
+                    break
+            else:                               # the row has survivors
+                for x in bit_indices(row, -r):
+                    if gcd(x, y) == 1:
+                        v = F(x, y)
+                        if accept(v):
+                            hits.append((x, y))
+                        if accept(-v):
+                            hits.append((-x, -y))
         if hits:
             return min(hits, key=lambda h: (max(abs(h[0]), abs(h[1])), h))
         done = r
@@ -518,7 +503,9 @@ def monic_representative(F: BinaryCubicForm, bound: int) -> MonicSearch:
 
     The residue sieve of _sieved_search (target residue 1 modulo each
     sieve modulus, survivors checked exactly) stops at the first doubling
-    radius with a hit and returns the same first hit as a full scan."""
+    radius with a hit and returns the same first hit as a full scan.  For
+    a monic F the identity matrix is returned; its first column (1, 0) is
+    the representation of 1."""
     _check_reducible(F)
     if F.a == 1:
         return MonicSearch('already_monic', ((1, 0), (0, 1)), F, bound)

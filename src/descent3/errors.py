@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Every raisable condition gets its own class so callers (and the CLI exit-code
-mapping) can tell validation failures apart from internal inconsistencies.
+The CLI maps ValidationError to exit code 2, InconsistencyError to 3 and
+FactorizationBudgetExceeded to 4.  A condition has a class of its own only
+where a caller or a test tells it apart; every other one raises the base
+class with a message that names the condition, which the CLI prints with
+the class name.
 """
 
 
@@ -51,34 +54,14 @@ class FieldMismatch(ValidationError):
     pass
 
 
-class CubeInput(ValidationError):
-    pass
-
-
 class NotOnNormEquation(ValidationError):
     pass
 
 
 # --- cubic forms ---
 
-class NotUnimodular(ValidationError):
-    pass
-
-
-class ReducibleForm(ValidationError):
-    pass
-
-
-class ZeroDiscriminant(ValidationError):
-    pass
-
-
 class DiscriminantMismatch(ValidationError):
     pass
-
-
-class CountNotOfExpectedShape(InconsistencyError):
-    """Class count is not (3^r - 1)/2 for any r >= 0."""
 
 
 # --- Mordell curves / descent ---
@@ -88,14 +71,6 @@ class CurveMismatch(ValidationError):
 
 
 class OffCurve(ValidationError):
-    pass
-
-
-class KernelXZero(ValidationError):
-    pass
-
-
-class TorsionImage(ValidationError):
     pass
 
 

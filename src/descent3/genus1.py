@@ -8,18 +8,20 @@ point: the four non-monic classes of D = -4897363 all have small ones,
 while those of D = 48035713 have none in the searched box.  This module
 provides the three ingredients for a verdict: bounded global point
 search, p-adic solvability, and the assembly with its conditionality
-bookkeeping.
+bookkeeping.  The search for a representation of 1 is not one of them:
+hasse_verdict takes the class's MonicSearch from its caller.
 
 The global search is exact.  It shares the residue sieve of cubicforms
 with the monic search: a cell survives only if its value is a cube modulo
 each of 9, 7, 13, ..., 97, and every survivor is confirmed with an integer
 cube root.  Boxes of radius 1, 2, 4, ... up to the bound are searched in
-turn, and the search stops at the first radius with a hit.  The returned
-point is the first hit in (max-norm, x, y) order over the whole box,
-because all smaller max-norms were searched, without a hit, at earlier
-radii.  Only the half-plane y >= 0 is sieved: G(-x, -y) = -G(x, y) is a
-cube exactly when G(x, y) is, so each sieved hit (x, y) also stands for
-its mirror (-x, -y) below.  No float enters the search.
+turn, each as one pass over the rows 0 .. r that skips the cells of the
+previous box, and the search stops at the first radius with a hit.  The
+returned point is the first hit in (max-norm, x, y) order over the whole
+box, because all smaller max-norms were searched, without a hit, at
+earlier radii.  Only the half-plane y >= 0 is sieved: G(-x, -y) =
+-G(x, y) is a cube exactly when G(x, y) is, so each sieved hit (x, y)
+also stands for its mirror (-x, -y) below.  No float enters the search.
 
 Local solvability is decided through the charts (1 : t) and (pt : 1) of
 P^1(Z_p): C has a Q_p-point iff one of the chart polynomials takes a cube
@@ -35,10 +37,8 @@ from math import gcd
 import sympy
 
 from .arith import cube_root_exact, factorize
-from .cubicforms import (BinaryCubicForm, MonicSearch, _sieved_search, disc,
-                         monic_representative)
-from .errors import (BadPrime, DiscriminantMismatch, InconsistencyError,
-                     InconsistentInputs)
+from .cubicforms import BinaryCubicForm, MonicSearch, _sieved_search, disc
+from .errors import BadPrime, DiscriminantMismatch
 from .seeds import DiscriminantSeed
 
 REAL_PLACE = "real"
@@ -116,9 +116,10 @@ def global_search(C: HomogeneousSpace, bound: int):
     The residue sieve of cubicforms._sieved_search skips only cells whose
     value is a non-cube modulo a sieve modulus and confirms every survivor
     with an integer cube root; its radius doubling stops early yet returns
-    the same first hit as a scan of every cell of the box.  It sieves the
-    rows y >= 0 only and reads each row y < 0 off its mirror, since
-    (x, y) and (-x, -y) have the same gcd, max-norm and cube status."""
+    the same first hit as a scan of every cell of the box.  Each radius is
+    one pass over the rows y = 0 .. r, and each row y < 0 is read off its
+    mirror, since (x, y) and (-x, -y) have the same gcd, max-norm and cube
+    status."""
     F = C.form
     hit = _sieved_search(F, bound, "cube")
     if hit is None:
@@ -350,32 +351,29 @@ def local_prime_set(F: BinaryCubicForm, primes_max: int = 100) -> list[int]:
     return sorted(ps)
 
 
-def hasse_verdict(C: HomogeneousSpace, *, rep_bound: int = 1000,
+def hasse_verdict(C: HomogeneousSpace, monic: MonicSearch, *,
                   global_bound: int = 10**4, primes_max: int = 100,
-                  effort: int = 24, enumerated: bool = False,
-                  monic: MonicSearch | None = None) -> Genus1Verdict:
+                  effort: int = 24, enumerated: bool = False) -> Genus1Verdict:
     """Classify C per the monic/non-monic dichotomy.
 
-    Monic-representable classes get their constructive global point.  For
-    the rest: a local failure is decisive (LocallyInsolvable); all-local
-    success plus an empty global search gives CertifiedViolation when the
-    class is known to come from the full enumeration for its discriminant
-    (the certificate is conditional on the monic-dichotomy theorem, and
-    the local evidence is recorded), else ViolationCandidate.
-
-    `monic` is the caller's monic_representative(C.form, rep_bound), when
-    it already has one; it is not searched for again.
+    `monic` is the caller's monic_representative(C.form, bound); the
+    verdict records its bound as monic_bound and searches nothing itself
+    for a representation of 1.  A class that represents 1 gets the
+    constructive point (p : q : 1) from the first column of the matrix.
+    For the rest: a local failure is decisive (LocallyInsolvable);
+    all-local success plus an empty global search gives CertifiedViolation
+    when the class is known to come from the full enumeration for its
+    discriminant (the certificate is conditional on the monic dichotomy,
+    which fails for some D, and the local evidence is recorded), else
+    ViolationCandidate.
     """
     F = C.form
-    if monic is not None and monic.bound != rep_bound:
-        raise InconsistentInputs(
-            f"monic search bound {monic.bound} != rep_bound {rep_bound}")
-    rep = monic if monic is not None else monic_representative(F, rep_bound)
-    if rep.found:
-        pq = (1, 0) if rep.status == "already_monic" else (rep.matrix[0][0], rep.matrix[1][0])
-        point = _proj_normalize(pq[0], pq[1], 1)
-        assert F(pq[0], pq[1]) == 1
-        return Genus1Verdict("has_global_point", C, point=point,
+    rep_bound = monic.bound
+    if monic.found:
+        (p, _), (q, _) = monic.matrix
+        assert F(p, q) == 1
+        return Genus1Verdict("has_global_point", C,
+                             point=_proj_normalize(p, q, 1),
                              monic_bound=rep_bound,
                              notes="constructive: class represents 1")
 

@@ -47,8 +47,8 @@ from sympy.ntheory import sqrt_mod
 
 from .arith import (cubic_character, cubic_square_points,
                     integer_roots_monic_cubic)
-from .errors import (CurveMismatch, KernelXZero, OffCurve, PreimageMissing,
-                     TorsionImage, ZeroInput)
+from .errors import (CurveMismatch, OffCurve, PreimageMissing,
+                     ValidationError, ZeroInput)
 from .quadfield import QuadElem, is_cube
 
 
@@ -161,7 +161,7 @@ def lambda_map(P: CurvePoint, D: int) -> CurvePoint:
     if P.infinite:
         return CurvePoint(E2)
     if P.x == 0:
-        raise KernelXZero("kernel point maps to infinity")
+        raise ValidationError("x = 0: a kernel point maps to infinity")
     X = (P.y * P.y + 48 * D) / (P.x * P.x)
     Y = P.y * (P.x**3 - 128 * D) / P.x**3
     return CurvePoint(E2, X, Y)
@@ -176,7 +176,7 @@ def lambda_dual(S: CurvePoint, D: int) -> CurvePoint:
     if S.infinite:
         return CurvePoint(E)
     if S.x == 0:
-        raise KernelXZero("kernel point maps to infinity")
+        raise ValidationError("X = 0: a kernel point maps to infinity")
     K = -432 * D
     X = (S.y * S.y + 3 * K) / (S.x * S.x)
     Y = S.y * (S.x**3 - 8 * K) / S.x**3
@@ -239,7 +239,7 @@ def psi(P: CurvePoint, D: int) -> DescentClass:
     if P.infinite:
         return DescentClass(D, None)
     if P.x == 0:
-        raise TorsionImage("x = 0 is the kernel of psi's curve map")
+        raise ValidationError("x = 0 is the kernel of psi's curve map")
     u, v, w = P.uvw()
     alpha = QuadElem.from_pair(D, v, 4 * w**3)
     assert alpha.norm() == u**3
@@ -255,7 +255,7 @@ def psi_prime(S: CurvePoint, D: int) -> DescentClass:
     if S.infinite:
         return DescentClass(dp, None)
     if S.x == 0:
-        raise TorsionImage("X = 0 is the kernel of psi_prime's curve map")
+        raise ValidationError("X = 0 is the kernel of psi_prime's curve map")
     U, V, W = S.uvw()
     alpha = QuadElem.from_pair(dp, V, 12 * W**3)
     assert alpha.norm() == U**3
@@ -268,7 +268,7 @@ def in_lambda_image(S: CurvePoint, D: int) -> bool:
         return True
     if S.x == 0:
         # (0, +-12 sqrt(-3D)) rational only for -3D square; excluded upstream
-        raise TorsionImage("X = 0")
+        raise ValidationError("X = 0: the torsion point has no lambda test")
     return psi_prime(S, D).is_cube_class()
 
 

@@ -12,7 +12,8 @@ from math import gcd, isqrt
 
 from .arith import (cube_root_exact, factorize, integer_roots_monic_cubic,
                     is_cubic_residue, is_perfect_square)
-from .errors import CubeInput, FieldMismatch, NotOnNormEquation, ZeroInput
+from .errors import (FieldMismatch, NotOnNormEquation, ValidationError,
+                     ZeroInput)
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def same_cubic_field(mu1: QuadElem, mu2: QuadElem) -> bool:
     if mu1.d != mu2.d:
         raise FieldMismatch(f"d = {mu1.d} vs {mu2.d}")
     if is_cube(mu1) is not None or is_cube(mu2) is not None:
-        raise CubeInput("same_cubic_field needs non-cube inputs")
+        raise ValidationError("same_cubic_field needs non-cube inputs")
     return (is_cube(mu1 * mu2 * mu2) is not None
             or is_cube(mu1 * mu2.conj() * mu2.conj()) is not None)
 

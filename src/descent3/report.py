@@ -293,21 +293,18 @@ class AnalysisReport:
 def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
                  point_bound: int = 10**5, global_bound: int = 10**4,
                  primes_max: int = 100, effort: int = 24,
-                 run_hasse: bool = True,
-                 check_class_group: bool | None = None) -> AnalysisReport:
+                 run_hasse: bool = True) -> AnalysisReport:
     """Run the full pipeline for one seed.
 
-    check_class_group defaults to on for D < 0 of moderate size; it is the
-    only sub-computation not needed by the descent itself, pure oracle.
+    For D < 0 with |D| <= 10^7 the class group oracle also runs; it is the
+    only sub-computation not needed by the descent itself.
     """
     D = seed.D
     classes = enumerate_classes(D)
     r3 = _rank_of_count(len(classes))
 
-    if check_class_group is None:
-        check_class_group = D < 0 and -D <= 10**7
     oracle_note = "class group oracle skipped"
-    if check_class_group and D < 0:
+    if D < 0 and -D <= 10**7:
         cg = class_group_imaginary(D)
         if cg.rank3 != r3:
             raise InconsistencyError(
@@ -359,9 +356,8 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
         for F, rep in zip(classes, reps):
             C = HomogeneousSpace(F, seed)
             hasse.append(hasse_verdict(
-                C, rep_bound=rep_bound, global_bound=global_bound,
-                primes_max=primes_max, effort=effort, enumerated=True,
-                monic=rep))
+                C, rep, global_bound=global_bound, primes_max=primes_max,
+                effort=effort, enumerated=True))
 
     provenance = {
         "rep_bound": str(rep_bound),

@@ -5,7 +5,7 @@ squarefree.  Those two conditions force D = 1 (mod 4), i.e. D is a fundamental
 discriminant, which everything downstream relies on.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .arith import divisors, is_squarefree

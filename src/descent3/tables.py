@@ -125,14 +125,14 @@ def check_table_1() -> list:
     return problems
 
 
-def _check_stat_rows(table, stats, rows=None, point_bound: int = 10**3) -> list:
+def _check_stat_rows(table, stats, rows=None) -> list:
     problems = []
     for m, n, D in (table if rows is None else rows):
         r3 = r3_from_fields(D)
         if r3 != stats["r3"]:
             problems.append(f"({m}, {n}): r3 = {r3}, expected {stats['r3']}")
             continue
-        pts = search_monic_points(D, point_bound)
+        pts = search_monic_points(D, 10**3)
         r3_monic = span_dim_mod_lambda(pts, D)
         if not 1 <= r3_monic <= r3:
             problems.append(f"({m}, {n}): r3(monic) = {r3_monic} out of range")

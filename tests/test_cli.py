@@ -49,6 +49,18 @@ def test_analyze_rejects_seed_and_disc_together(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", ["--bound-monic", "--bound-global",
+                                  "--bound-rep", "--primes-max", "--effort",
+                                  "--jobs"])
+@pytest.mark.parametrize("cmd", ["analyze", "hasse", "forms", "scan"])
+def test_nonpositive_setting_exits_2(cmd, flag, capsys):
+    seed = (["--m=1..1", "--n=1..1"] if cmd == "scan"
+            else ["--m", "1", "--n", "1"])
+    rc = main([cmd, *seed, flag, "0"])
+    assert rc == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_recover_seed():
     s = _recover_seed(-4897363)
     assert (s.m, s.n) == (-34, 419)

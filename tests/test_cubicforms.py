@@ -8,12 +8,16 @@ import pytest
 import sympy
 
 import helpers
-from descent3 import (BinaryCubicForm, act, disc, enumerate_classes,
-                      equivalent, hessian, is_irreducible, make_seed,
-                      monic_representative, reduce, scan, syzygy_pair,
+import descent3.cubicforms as cubicforms
+from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
+                      act, disc, enumerate_classes, equivalent, hessian,
+                      in_lambda_image, is_irreducible, lambda_dual,
+                      lambda_map, make_seed, monic_representative, psi,
+                      psi_prime, reduce, same_cubic_field, scan, syzygy_pair,
                       syzygy_point)
 from descent3.cubicforms import candidate_forms
-from descent3.errors import DiscriminantMismatch, OffCurve
+from descent3.errors import (DiscriminantMismatch, InconsistencyError,
+                             OffCurve, ValidationError)
 from helpers import rational_roots
 
 
@@ -50,6 +54,39 @@ def test_action_rejects_non_unimodular():
     F = BinaryCubicForm(1, 0, -1, 1)
     with pytest.raises(Exception):
         act(F, ((2, 0), (0, 1)))
+
+
+# (0, 4) lies on E_1: y^2 = x^3 + 16 and (0, 36) on E_{-3}': Y^2 = X^3 +
+# 1296, the kernel points that are rational only for these degenerate D
+_E1_KERNEL = (MordellCurve.e_d(1), 0, 4)
+_E3_KERNEL = (MordellCurve.e_d_prime(-3), 0, 36)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: act(BinaryCubicForm(1, 0, -1, 1), ((2, 0), (0, 1))),
+    lambda: reduce(BinaryCubicForm(1, 0, 0, 0)),
+    lambda: reduce(BinaryCubicForm(1, 0, -1, 0)),
+    lambda: monic_representative(BinaryCubicForm(2, 1, -1, 0), 10),
+    lambda: same_cubic_field(QuadElem.one(-3), QuadElem.one(-3)),
+    lambda: lambda_map(CurvePoint(*_E1_KERNEL), 1),
+    lambda: lambda_dual(CurvePoint(*_E3_KERNEL), -3),
+    lambda: psi(CurvePoint(*_E1_KERNEL), 1),
+    lambda: psi_prime(CurvePoint(*_E3_KERNEL), -3),
+    lambda: in_lambda_image(CurvePoint(*_E3_KERNEL), -3),
+], ids=["act-det-2", "reduce-disc-0", "reduce-reducible",
+        "monic-rep-reducible", "same-cubic-field-cube", "lambda-kernel",
+        "lambda-dual-kernel", "psi-x0", "psi-prime-x0", "in-image-x0"])
+def test_bad_inputs_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_class_count_not_of_expected_shape_is_inconsistency(monkeypatch):
+    # two of the four classes of 48035713: 2*2 + 1 = 5 is no power of 3
+    two = enumerate_classes(48035713)[:2]
+    monkeypatch.setattr(cubicforms, "candidate_forms", lambda D: iter(two))
+    with pytest.raises(InconsistencyError):
+        enumerate_classes(48035713)
 
 
 def test_hessian_covariance():

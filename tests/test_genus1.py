@@ -7,7 +7,8 @@ import pytest
 import helpers
 from descent3 import (BinaryCubicForm, HomogeneousSpace, REAL_PLACE, act,
                       disc, enumerate_classes, global_search, hasse_verdict,
-                      local_prime_set, locally_solvable, make_seed, reduce)
+                      local_prime_set, locally_solvable, make_seed,
+                      monic_representative, reduce)
 from descent3.errors import DiscriminantMismatch
 
 # frozen by the chart oracle: (coefficients, insolvable prime, level where
@@ -119,7 +120,8 @@ def test_global_search_finds_unit_values():
 
 def test_hasse_verdict_monic_class_constructive():
     F = reduce(BinaryCubicForm(1, 0, -1, 1))
-    v = hasse_verdict(HomogeneousSpace(F, make_seed(1, 1)))
+    v = hasse_verdict(HomogeneousSpace(F, make_seed(1, 1)),
+                      monic_representative(F, 1000))
     assert v.kind == "has_global_point"
     x, y, z = v.point
     assert F(x, y) == z ** 3
@@ -129,7 +131,8 @@ def test_hasse_verdict_monic_class_constructive():
 def test_hasse_verdict_certified_violation(classes_48035713):
     seed = make_seed(229, 3)
     F = classes_48035713[1]
-    v = hasse_verdict(HomogeneousSpace(F, seed), enumerated=True)
+    v = hasse_verdict(HomogeneousSpace(F, seed),
+                      monic_representative(F, 1000), enumerated=True)
     assert v.kind == "certified_violation"
     assert v.point is None
     assert len(v.primes_checked) >= 25
@@ -140,26 +143,35 @@ def test_hasse_verdict_certified_violation(classes_48035713):
 def test_hasse_verdict_candidate_when_not_enumerated(classes_48035713):
     seed = make_seed(229, 3)
     F = classes_48035713[2]
-    v = hasse_verdict(HomogeneousSpace(F, seed), enumerated=False,
+    v = hasse_verdict(HomogeneousSpace(F, seed),
+                      monic_representative(F, 1000), enumerated=False,
                       global_bound=300)
     assert v.kind == "violation_candidate"
 
 
 def test_hasse_verdict_reuses_a_given_monic_search(classes_4897363,
                                                    seed_m34_419, monkeypatch):
+    import descent3.cubicforms as cf
     import descent3.genus1 as g1
-    from descent3 import monic_representative
-    from descent3.errors import InconsistentInputs
     F = classes_4897363[8]                   # not monic within 10^3
     C = HomogeneousSpace(F, seed_m34_419)
     rep = monic_representative(F, 1000)
     assert rep.status == "not_found"
-    plain = hasse_verdict(C, enumerated=True)
-    monkeypatch.setattr(g1, "monic_representative", None)   # must not be called
-    assert hasse_verdict(C, enumerated=True, monic=rep) == plain
-    assert plain.point == (1, 1, 2)
-    with pytest.raises(InconsistentInputs):
-        hasse_verdict(C, rep_bound=999, monic=rep)
+    targets = []
+    sieve = cf._sieved_search
+
+    def spy(G, bound, target):
+        targets.append(target)
+        return sieve(G, bound, target)
+
+    # every box search goes through the sieve; only the global one may run
+    monkeypatch.setattr(cf, "_sieved_search", spy)
+    monkeypatch.setattr(g1, "_sieved_search", spy)
+    monkeypatch.setattr(cf, "monic_representative", None)
+    v = hasse_verdict(C, rep, enumerated=True)
+    assert targets == ["cube"]
+    assert v.point == (1, 1, 2)
+    assert v.monic_bound == 1000 and v.search_bound == 10**4
 
 
 def test_local_verdicts_agree_across_gl2_orbits(classes_4897363,

@@ -1,8 +1,10 @@
 """The exact residue-sieved point searches against a scan of every cell."""
 
 import random
+from math import gcd
 
 import helpers
+import descent3.cubicforms as cubicforms
 from descent3 import (BinaryCubicForm, HomogeneousSpace, act, disc,
                       global_search, is_irreducible, make_seed,
                       monic_representative, search_monic_points)
@@ -84,6 +86,60 @@ def test_unit_hit_from_minus_one_on_row_zero():
         rep = monic_representative(F, bound)
         assert (rep.matrix[0][0], rep.matrix[1][0]) == (-1, 0)
         assert rep.form.a == 1
+
+
+# forms planted as act(G, N) with G monic and N(x0, y0) = (1, 0), so that
+# F(x0, y0) = 1; the first hit of each is at the cell its comment names,
+# in the doubling radii 1, 2, 4, 8, 16 (bound 16) or 1, .., 16, 20 (bound 20)
+PLANTED = (
+    # |x| = done + 1 = 9 on a row y <= done = 8 of radius 16
+    # (the cube hit (-9, -8) is the mirror of the sieved cell (9, 8))
+    ((-1779, -9713, -17675, -10720), 16, "unit", (-9, 5)),
+    ((-16047, 53979, -60520, 22616), 16, "cube", (-9, -8)),
+    # y = done + 1 = 9 with |x| <= done, radius 16
+    ((-22762, 15010, -3296, 241), 16, "unit", (2, 9)),
+    ((11719, 31533, 28284, 8457), 16, "cube", (-8, 9)),
+    # inside the capped last radius 20 (done = 16): an outer and an inner row
+    ((-24425, 27618, -10397, 1303), 20, "unit", (7, 18)),
+    ((434, 1703, 2086, 755), 20, "cube", (-18, 11)),
+)
+
+
+def test_sieve_finds_planted_first_hits():
+    for coeffs, bound, target, first in PLANTED:
+        F = BinaryCubicForm(*coeffs)
+        norm = max(abs(first[0]), abs(first[1]))
+        for b in (norm - 1, norm, bound):
+            want = helpers.naive_first_point(F, b, ACCEPT[target])
+            assert want == (first if b >= norm else None), (F, b, target)
+            assert _sieved_search(F, b, target) == want, (F, b, target)
+
+
+def _recording(F):
+    """A copy of F that lists every cell it is evaluated at."""
+    seen = []
+
+    class Recording(BinaryCubicForm):
+        def __call__(self, x, y):
+            seen.append((x, y))
+            return BinaryCubicForm.__call__(self, x, y)
+
+    return Recording(*F.coeffs()), seen
+
+
+def test_sieve_checks_each_cell_of_the_upper_half_box_once(monkeypatch):
+    # a target that allows every residue lets every coprime cell survive,
+    # so the exact checks show the geometry: each radius visits its new
+    # annulus in the rows y >= 0 (its hole skips exactly the cells of the
+    # previous radius), and no cell is visited twice
+    monkeypatch.setitem(cubicforms._TARGETS, "any",
+                        (lambda m: set(range(m)), lambda v: False))
+    for bound in range(41):
+        F, seen = _recording(BinaryCubicForm(1, 0, -1, 1))
+        assert _sieved_search(F, bound, "any") is None
+        want = [(x, y) for y in range(bound + 1)
+                for x in range(-bound, bound + 1) if gcd(x, y) == 1]
+        assert sorted(seen) == sorted(want), bound
 
 
 def test_sieve_finds_no_cube_on_classes_of_48035713():

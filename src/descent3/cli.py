@@ -25,23 +25,31 @@ from .seeds import make_seed, scan as seed_scan
 from . import tables
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
-                   default="text")
-    p.add_argument("--bound-monic", type=int, default=10**5,
-                   help="monic-point search radius, |P| <= 3x (default 1e5)")
-    p.add_argument("--bound-global", type=int, default=10**4,
-                   help="projective cube-point search radius (default 1e4)")
-    p.add_argument("--bound-rep", type=int, default=10**3,
-                   help="search radius for a class to represent 1 (default 1e3)")
-    p.add_argument("--primes-max", type=int, default=100,
-                   help="test local solvability at all p up to this bound")
-    p.add_argument("--effort", type=int, default=24,
-                   help="recursion budget for p-adic searches")
-    p.add_argument("--cache", default=None,
-                   help="append-only NDJSON result cache (last record wins)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for scan")
+_VERDICT_OPTIONS = {"--bound-rep", "--bound-global", "--primes-max", "--effort"}
+_REPORT_OPTIONS = _VERDICT_OPTIONS | {"--format", "--bound-monic", "--cache"}
+
+
+def _add_options(p: argparse.ArgumentParser, flags):
+    """Add the options named in flags, the ones the subcommand reads; the
+    bounds are stored under their build_report names."""
+    def opt(flag, **kw):
+        if flag in flags:
+            p.add_argument(flag, **kw)
+    opt("--format", dest="fmt", choices=("json", "csv", "text"),
+        default="text")
+    opt("--bound-monic", dest="point_bound", type=int, default=10**5,
+        help="monic-point search radius, |P| <= 3x (default 1e5)")
+    opt("--bound-global", dest="global_bound", type=int, default=10**4,
+        help="projective cube-point search radius (default 1e4)")
+    opt("--bound-rep", dest="rep_bound", type=int, default=10**3,
+        help="search radius for a class to represent 1 (default 1e3)")
+    opt("--primes-max", type=int, default=100,
+        help="test local solvability at all p up to this bound")
+    opt("--effort", type=int, default=24,
+        help="recursion budget for p-adic searches")
+    opt("--cache", default=None,
+        help="append-only NDJSON result cache (last record wins)")
+    opt("--jobs", type=int, default=1, help="parallel workers")
 
 
 def _recover_seed(disc: int, search: int = 10**4):
@@ -82,16 +90,16 @@ _SETTINGS = ("rep_bound", "point_bound", "global_bound", "primes_max",
              "effort")
 
 
-def _report_kwargs(args) -> dict:
-    """The build_report keyword arguments of the parsed options, after
-    checking that every bound, budget and --jobs is positive."""
-    kwargs = dict(rep_bound=args.bound_rep, point_bound=args.bound_monic,
-                  global_bound=args.bound_global, primes_max=args.primes_max,
-                  effort=args.effort)
-    for name, value in (*kwargs.items(), ("jobs", args.jobs)):
+def _settings(args) -> dict:
+    """The bounds and budgets the subcommand has, by their build_report
+    names, after checking that each of them and --jobs is positive."""
+    settings = {k: getattr(args, k) for k in (*_SETTINGS, "jobs")
+                if hasattr(args, k)}
+    for name, value in settings.items():
         if value < 1:
             raise ValidationError(f"{name} must be positive")
-    return dict(kwargs, run_hasse=getattr(args, "hasse", True))
+    settings.pop("jobs", None)
+    return settings
 
 
 def _cache_key(D: int, kwargs: dict) -> tuple:
@@ -156,7 +164,7 @@ def _emit_report(rep, fmt: str, header: bool = False):
 
 
 def cmd_analyze(args) -> int:
-    kwargs = _report_kwargs(args)
+    kwargs = dict(_settings(args), run_hasse=args.hasse)
     seed = _seed_from_args(args)
     cache = _cache_load(args.cache)
     key = _cache_key(seed.D, kwargs)
@@ -206,7 +214,7 @@ def _scan_worker(payload):
 
 
 def cmd_scan(args) -> int:
-    kwargs = _report_kwargs(args)
+    kwargs = dict(_settings(args), run_hasse=args.hasse)
     m_range = _parse_range(args.m_range)
     n_range = _parse_range(args.n_range)
     filters = [_parse_filter(f) for f in args.filter or ()]
@@ -279,23 +287,22 @@ def cmd_tables(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    kwargs = _report_kwargs(args)
+    kwargs = _settings(args)
+    rep_bound = kwargs.pop("rep_bound")
     seed = _seed_from_args(args)
     for F in enumerate_classes(seed.D):
         C = HomogeneousSpace(F, seed)
-        v = hasse_verdict(C, monic_representative(F, kwargs["rep_bound"]),
-                          global_bound=kwargs["global_bound"],
-                          primes_max=kwargs["primes_max"],
-                          effort=kwargs["effort"], enumerated=True)
+        v = hasse_verdict(C, monic_representative(F, rep_bound), **kwargs,
+                          enumerated=True)
         print(f"{C}: {v}" + (f"  [{v.notes}]" if v.notes else ""))
     return 0
 
 
 def cmd_forms(args) -> int:
-    kwargs = _report_kwargs(args)
+    rep_bound = _settings(args)["rep_bound"]
     seed = _seed_from_args(args)
     for F in enumerate_classes(seed.D):
-        rep = monic_representative(F, kwargs["rep_bound"])
+        rep = monic_representative(F, rep_bound)
         print(f"{F}  {rep.status}")
     return 0
 
@@ -304,9 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="descent3")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    for name, fn, with_seed in (("analyze", cmd_analyze, True),
-                                ("hasse", cmd_hasse, True),
-                                ("forms", cmd_forms, True)):
+    for name, fn, flags in (("analyze", cmd_analyze, _REPORT_OPTIONS),
+                            ("hasse", cmd_hasse, _VERDICT_OPTIONS),
+                            ("forms", cmd_forms, {"--bound-rep"})):
         p = sub.add_parser(name)
         p.add_argument("--m", type=int)
         p.add_argument("--n", type=int)
@@ -314,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "analyze":
             p.add_argument("--no-hasse", dest="hasse", action="store_false",
                            help="skip the per-class Hasse verdicts")
-        _add_common(p)
+        _add_options(p, flags)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("scan")
@@ -324,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="e.g. 'r3>=2'; may repeat, filters are conjoined")
     p.add_argument("--hasse", action="store_true", default=False,
                    help="also run Hasse verdicts per class (slow)")
-    _add_common(p)
+    _add_options(p, _REPORT_OPTIONS | {"--jobs"})
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("tables")

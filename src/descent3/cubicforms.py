@@ -21,8 +21,9 @@ divisions (candidate_forms).
 Reduction splits on the sign of the discriminant:
 
 * disc > 0: the Hessian (b^2-3ac, bc-9ad, c^2-3bd) is positive definite;
-  Gauss-reduce it, carry the transform back to the cubic, and fix the
-  residual +-F symmetry by sign and lexicographic order.
+  walk F by the swap S and shears until its Hessian is Gauss-reduced
+  (each step on F moves the Hessian by the same matrix), then fix the
+  residual +-F symmetry by the sign of the leading coefficient.
 * disc < 0: the Hessian is indefinite, so instead canonicalize through the
   complex root: F(x,1) = a(x - theta)(x^2 + px + q) has one real root and
   the class has a unique representative (up to sign) whose complex root
@@ -49,13 +50,6 @@ _S = ((0, -1), (1, 0))
 _J = ((1, 0), (0, -1))
 
 
-def _matmul(M, N):
-    return ((M[0][0] * N[0][0] + M[0][1] * N[1][0],
-             M[0][0] * N[0][1] + M[0][1] * N[1][1]),
-            (M[1][0] * N[0][0] + M[1][1] * N[1][0],
-             M[1][0] * N[0][1] + M[1][1] * N[1][1]))
-
-
 def _det(M):
     return M[0][0] * M[1][1] - M[0][1] * M[1][0]
 
@@ -68,13 +62,6 @@ class QuadraticForm:
 
     def disc(self) -> int:
         return self.B * self.B - 4 * self.A * self.C
-
-    def transform(self, M) -> "QuadraticForm":
-        (p, q), (r, s) = M
-        A2 = self.A * p * p + self.B * p * r + self.C * r * r
-        B2 = 2 * self.A * p * q + self.B * (p * s + q * r) + 2 * self.C * r * s
-        C2 = self.A * q * q + self.B * q * s + self.C * s * s
-        return QuadraticForm(A2, B2, C2)
 
     def coeffs(self):
         return (self.A, self.B, self.C)
@@ -160,30 +147,6 @@ def _check_reducible(F: BinaryCubicForm):
         raise ValidationError(f"form {F} is reducible")
 
 
-# --- positive-definite quadratic form reduction (used when disc(F) > 0) ---
-
-def reduce_posdef(q: QuadraticForm):
-    """Gauss reduction with transform tracking: returns (q0, M) with
-    q.transform(M) = q0 and q0 the unique reduced representative
-    (-A < B <= A <= C, B >= 0 when A = C)."""
-    assert q.A > 0 and q.disc() < 0
-    A, B, C = q.coeffs()
-    M = ((1, 0), (0, 1))
-    for _ in range(10000):
-        if C < A or (C == A and B < 0):
-            A, B, C = C, -B, A
-            M = _matmul(M, _S)
-            continue
-        if B > A or B <= -A:
-            k = (A - B) // (2 * A)
-            C = A * k * k + B * k + C
-            B = B + 2 * A * k
-            M = _matmul(M, ((1, k), (0, 1)))
-            continue
-        return QuadraticForm(A, B, C), M
-    raise AssertionError("posdef reduction did not terminate")
-
-
 # --- exact real-root comparisons (used when disc(F) < 0) ---
 #
 # For a > 0 and n/q with q > 0, F(n, q) = q^3 F(n/q, 1) has the sign of
@@ -256,12 +219,22 @@ def _canonical_sl2_neg(F: BinaryCubicForm) -> BinaryCubicForm:
 
 
 def _canonical_sl2_pos(F: BinaryCubicForm) -> BinaryCubicForm:
-    H = hessian(F)
-    # disc(H) = -3 disc(F) <= -147 for irreducible F, so Aut(H) = {+-I}
-    assert H.disc() < -4 and H.A > 0
-    _, M = reduce_posdef(H)
-    G = act(F, M)
-    return G if G.a > 0 else -G
+    """Walk F until its Hessian is Gauss-reduced (-A < B <= A <= C, and
+    B >= 0 when A = C), then make the leading coefficient positive.
+
+    For det +-1, hessian(act(F, M)) is hessian(F) moved by M, so each step
+    on F is the matching Gauss step on H.  disc(H) = -3 disc(F) <= -147 for
+    irreducible F, so Aut(H) = {+-I} and the stopping form is unique up to
+    sign."""
+    for _ in range(10000):
+        A, B, C = hessian(F).coeffs()
+        if C < A or (C == A and B < 0):
+            F = act(F, _S)
+        elif B > A or B <= -A:
+            F = act(F, ((1, (A - B) // (2 * A)), (0, 1)))
+        else:
+            return F if F.a > 0 else -F
+    raise AssertionError(f"reduction loop did not terminate on {F}")
 
 
 def _canonical(F: BinaryCubicForm) -> BinaryCubicForm:
@@ -371,14 +344,18 @@ def enumerate_classes(D: int) -> list[BinaryCubicForm]:
             R = _canonical(F)
             reps[R.coeffs()] = R
     classes = sorted(reps.values(), key=lambda f: f.coeffs())
-    twice1 = 2 * len(classes) + 1
-    r = 0
-    while 3**r < twice1:
-        r += 1
-    if 3**r != twice1:
+    if rank_of_class_count(len(classes)) is None:
         raise InconsistencyError(
             f"{len(classes)} classes for D = {D}, not (3^r - 1)/2 for any r")
     return classes
+
+
+def rank_of_class_count(count: int) -> int | None:
+    """The r with count = (3^r - 1)/2, or None when there is none."""
+    r = 0
+    while 3**r < 2 * count + 1:
+        r += 1
+    return r if 3**r == 2 * count + 1 else None
 
 
 # --- monic representability ---

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .arith import factorize, is_squarefree, xgcd
 from .cubicforms import (BinaryCubicForm, enumerate_classes,
-                         monic_representative, syzygy_pair)
+                         monic_representative, rank_of_class_count,
+                         syzygy_pair)
 from .errors import (ExcludedDiscriminant, InconsistencyError,
                      InconsistentInputs, PositiveDiscriminant)
 from .genus1 import Genus1Verdict, HomogeneousSpace, hasse_verdict
@@ -35,19 +36,11 @@ from .seeds import DiscriminantSeed
 
 # --- 3-rank from the field count ---
 
-def _rank_of_count(count: int) -> int:
-    # enumerate_classes already validated 2*count + 1 = 3^r
-    n, r = 2 * count + 1, 0
-    while 3**r < n:
-        r += 1
-    assert 3**r == n
-    return r
-
-
 def r3_from_fields(D: int) -> int:
     """The 3-rank of Cl(Q(sqrt(D))): the number of cubic fields of
-    discriminant D is (3^r - 1)/2, and the class list supplies the count."""
-    return _rank_of_count(len(enumerate_classes(D)))
+    discriminant D is (3^r - 1)/2, and the class list supplies the count
+    (enumerate_classes has checked that it has that shape)."""
+    return rank_of_class_count(len(enumerate_classes(D)))
 
 
 # --- imaginary quadratic class group (independent oracle, D < 0 only) ---
@@ -209,19 +202,16 @@ def rank_bounds(D: int, r3: int, r3_monic: int):
     The parity of the 3-Selmer dimension bumps the monic lower bound by one
     in two of the four (sign of D) x (parity of r3(monic)) cases; the note
     records which case fired.  The upper bound is the Selmer bound and
-    holds without the parity input.
+    holds without the parity input: the sum of the two Selmer ranks.
     """
-    if -4 <= D <= 4:
-        raise ExcludedDiscriminant(f"D = {D} has |D| <= 4")
+    ub = sum(selmer_ranks(D, r3))
     if r3_monic < 1 or r3_monic > r3:
         raise InconsistentInputs(
             f"r3(monic) = {r3_monic} outside [1, r3 = {r3}]")
     odd = r3_monic % 2 == 1
-    if D < -4:
-        ub = 2 * r3
+    if D < 0:
         lb = r3_monic + 1 if odd else r3_monic
     else:
-        ub = 2 * r3 + 1
         lb = r3_monic if odd else r3_monic + 1
     note = (f"r3(monic) = {r3_monic} ({'odd' if odd else 'even'}), "
             f"D {'<' if D < 0 else '>'} 0: {lb} <= rank <= {ub}; "
@@ -301,7 +291,7 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
     """
     D = seed.D
     classes = enumerate_classes(D)
-    r3 = _rank_of_count(len(classes))
+    r3 = rank_of_class_count(len(classes))
 
     oracle_note = "class group oracle skipped"
     if D < 0 and -D <= 10**7:
@@ -338,9 +328,9 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
     dim_mod_3 = span_dim_mod_3(points, D)
 
     selmer_l, selmer_ld = selmer_ranks(D, r3)
-    rank_ub = 2 * r3 if D < 0 else 2 * r3 + 1
+    rank_ub = selmer_l + selmer_ld
     if r3_monic_lb >= 1:
-        prop_lb, rank_ub, parity_note = rank_bounds(D, r3, r3_monic_lb)
+        prop_lb, _, parity_note = rank_bounds(D, r3, r3_monic_lb)
         rank_lb = max(prop_lb, dim_mod_3)
     else:
         rank_lb = dim_mod_3

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from descent3.arith import divisors, integer_roots_monic_cubic, iroot
 from descent3.errors import DiscriminantMismatch, PreimageMissing, ZeroInput
 from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
-                      act, add, disc, hessian, in_lambda_image, is_cube,
-                      is_irreducible, lambda_dual, lambda_map,
-                      lambda_preimage, mul_scalar, psi, psi_prime, reduce,
-                      scan, syzygy_pair, virtual_unit)
+                      QuadraticForm, act, add, disc, hessian,
+                      in_lambda_image, is_cube, is_irreducible, lambda_dual,
+                      lambda_map, lambda_preimage, mul_scalar, psi,
+                      psi_prime, reduce, scan, syzygy_pair, virtual_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +352,56 @@ def fraction_reduce_neg(F):
     assert disc(F) < 0
     c1 = _fraction_canonical_sl2_neg(F)
     c2 = _fraction_canonical_sl2_neg(act(F, J_MAT))
+    return min(c1, c2, key=lambda G: G.coeffs())
+
+
+# ---------------------------------------------------------------------------
+# reduction oracle for disc > 0: Gauss-reduce the Hessian on its own while
+# tracking the transform, then move the cubic once by that matrix
+
+def qf_transform(H, M):
+    """H(px + qy, rx + sy) for M = ((p, q), (r, s))."""
+    (p, q), (r, s) = M
+    A, B, C = H.coeffs()
+    return QuadraticForm(A * p * p + B * p * r + C * r * r,
+                         2 * A * p * q + B * (p * s + q * r) + 2 * C * r * s,
+                         A * q * q + B * q * s + C * s * s)
+
+
+def reduce_posdef(H):
+    """Gauss reduction with transform tracking: (H0, M) with
+    qf_transform(H, M) = H0, the reduced form (-A < B <= A <= C, B >= 0
+    when A = C)."""
+    assert H.A > 0 and H.disc() < 0
+    A, B, C = H.coeffs()
+    M = ((1, 0), (0, 1))
+    for _ in range(10000):
+        if C < A or (C == A and B < 0):
+            A, B, C = C, -B, A
+            M = mat_mul(M, S_MAT)
+            continue
+        if B > A or B <= -A:
+            k = (A - B) // (2 * A)
+            C = A * k * k + B * k + C
+            B = B + 2 * A * k
+            M = mat_mul(M, shear(k))
+            continue
+        return QuadraticForm(A, B, C), M
+    raise AssertionError("posdef reduction did not terminate")
+
+
+def _transform_canonical_sl2_pos(F):
+    _, M = reduce_posdef(hessian(F))
+    G = act(F, M)
+    return G if G.a > 0 else -G
+
+
+def transform_reduce_pos(F):
+    """Canonical representative of an irreducible form of disc > 0,
+    computed by reducing the Hessian and carrying the transform back."""
+    assert disc(F) > 0
+    c1 = _transform_canonical_sl2_pos(F)
+    c2 = _transform_canonical_sl2_pos(act(F, J_MAT))
     return min(c1, c2, key=lambda G: G.coeffs())
 
 

@@ -1,10 +1,13 @@
 """Command line behavior: exit codes, formats, cache, scan filters."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from descent3.cli import main, _parse_range, _recover_seed
+from descent3.cli import main, _parse_filter, _parse_range, _recover_seed
 from descent3.errors import ValidationError
 
 
@@ -49,16 +52,57 @@ def test_analyze_rejects_seed_and_disc_together(capsys):
     assert rc == 2
 
 
+def _exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def _seed_args(cmd):
+    return (["--m=1..1", "--n=1..1"] if cmd == "scan"
+            else ["--m", "1", "--n", "1"])
+
+
+# the numeric options each subcommand reads; it rejects the others
+_READS = {"analyze": {"--bound-monic", "--bound-global", "--bound-rep",
+                      "--primes-max", "--effort"},
+          "hasse": {"--bound-global", "--bound-rep", "--primes-max",
+                    "--effort"},
+          "forms": {"--bound-rep"}}
+_READS["scan"] = _READS["analyze"] | {"--jobs"}
+
+
 @pytest.mark.parametrize("flag", ["--bound-monic", "--bound-global",
                                   "--bound-rep", "--primes-max", "--effort",
                                   "--jobs"])
 @pytest.mark.parametrize("cmd", ["analyze", "hasse", "forms", "scan"])
 def test_nonpositive_setting_exits_2(cmd, flag, capsys):
-    seed = (["--m=1..1", "--n=1..1"] if cmd == "scan"
-            else ["--m", "1", "--n", "1"])
-    rc = main([cmd, *seed, flag, "0"])
-    assert rc == 2
-    assert "must be positive" in capsys.readouterr().err
+    assert _exit_code([cmd, *_seed_args(cmd), flag, "0"]) == 2
+    err = capsys.readouterr().err
+    if flag in _READS[cmd]:
+        assert "must be positive" in err
+    else:
+        assert f"unrecognized arguments: {flag} 0" in err
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("analyze", "--jobs", "2"),
+    ("hasse", "--format", "json"), ("hasse", "--bound-monic", "5"),
+    ("hasse", "--cache", "CACHE"), ("hasse", "--jobs", "2"),
+    ("forms", "--format", "json"), ("forms", "--bound-monic", "5"),
+    ("forms", "--bound-global", "5"), ("forms", "--primes-max", "5"),
+    ("forms", "--effort", "5"), ("forms", "--cache", "CACHE"),
+    ("forms", "--jobs", "2")])
+def test_dropped_option_exits_2(cmd, flag, value, tmp_path, capsys):
+    """An option the subcommand does not read is an argparse error."""
+    cache = tmp_path / "cache.ndjson"
+    value = str(cache) if value == "CACHE" else value
+    assert _exit_code([cmd, *_seed_args(cmd), flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag} {value}" in err
+    assert not cache.exists()
 
 
 def test_recover_seed():
@@ -200,3 +244,24 @@ def test_factorization_budget_exit_4(monkeypatch, capsys):
     rc = main(["analyze", "--m", "1", "--n", "1"])
     assert rc == 4
     assert "FactorizationBudgetExceeded" in capsys.readouterr().err
+
+
+def test_readme_commands_run(capsys):
+    """Every descent3 line of the README's command-line block runs and
+    exits 0 (a `> file` redirect dropped), and every filter expression the
+    README quotes parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.splitlines() if l.startswith("descent3 ")]
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if ">" in argv:
+            argv = argv[:argv.index(">")]
+        assert main(argv[1:]) == 0, line
+    capsys.readouterr()
+    filters = re.findall(r"[`'](\w+(?:>=|<=|==|!=|>|<)-?\d+)[`']", readme)
+    assert len(filters) >= 2
+    for text in filters:
+        _parse_filter(text)

@@ -91,10 +91,16 @@ def test_class_count_not_of_expected_shape_is_inconsistency(monkeypatch):
 
 def test_hessian_covariance():
     rng = random.Random(304)
+    dets = set()
     for _ in range(150):
         F = BinaryCubicForm(*(rng.randint(-20, 20) for _ in range(4)))
         H = hessian(F)
         assert H.disc() == -3 * disc(F)
+        # the positive-disc reduction walks F and relies on this
+        M = helpers.random_unimodular(rng)
+        assert hessian(act(F, M)) == helpers.qf_transform(H, M), (F, M)
+        dets.add(M[0][0] * M[1][1] - M[0][1] * M[1][0])
+    assert dets == {1, -1}
 
 
 def test_reduce_canonical_on_orbits():
@@ -322,6 +328,20 @@ def test_reduce_matches_fraction_oracle_for_negative_disc():
         assert reduce(F) == R, F
         G = act(F, helpers.random_unimodular(rng, shift=9))
         assert reduce(G) == helpers.fraction_reduce_neg(G) == R, (F, G)
+        done += 1
+
+
+def test_reduce_matches_transform_oracle_for_positive_disc():
+    rng = random.Random(315)
+    done = 0
+    while done < 1000:
+        F = BinaryCubicForm(*(rng.randint(-60, 60) for _ in range(4)))
+        if disc(F) <= 0 or not is_irreducible(F):
+            continue
+        R = helpers.transform_reduce_pos(F)
+        assert reduce(F) == R, F
+        G = act(F, helpers.random_unimodular(rng, shift=9))
+        assert reduce(G) == helpers.transform_reduce_pos(G) == R, (F, G)
         done += 1
 
 

@@ -169,38 +169,19 @@ def _q_gt_one(F: BinaryCubicForm) -> bool:
     return v > 0 if F.d < 0 else v < 0
 
 
-def _theta_floor8(F: BinaryCubicForm) -> int:
-    """floor(8 theta): the largest n with F(n, 8) < 0, by doubling away
-    from 0 and then integer bisection."""
-    if F(0, 8) > 0:
-        lo, hi = -1, 0
-        while F(lo, 8) > 0:
-            lo, hi = 2 * lo, lo
-    else:
-        lo, hi = 0, 1
-        while F(hi, 8) < 0:
-            lo, hi = hi, 2 * hi
+def _round_u(F: BinaryCubicForm) -> int:
+    """Nearest integer to Re(xi); never a tie.  The largest k with
+    Re(xi) > k - 1/2, by bisection on the exact test: |Re(xi)| <= |xi| < M
+    (the Cauchy bound), so k lies in the bracket [-2M, 2M + 1]."""
+    M = 2 + max(abs(F.b), abs(F.c), abs(F.d)) // F.a
+    lo, hi = -2 * M, 2 * M + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if F(mid, 8) > 0:
-            hi = mid
-        else:
+        if _u_gt(F, 2 * mid - 1):
             lo = mid
+        else:
+            hi = mid
     return lo
-
-
-def _round_u(F: BinaryCubicForm) -> int:
-    """Nearest integer to Re(xi); never a tie.  theta ~ (2t + 1)/16 with
-    t = floor(8 theta) gives a first guess, which the exact comparisons
-    then move to the k with k - 1/2 < Re(xi) <= k + 1/2."""
-    a, b = F.a, F.b
-    t = _theta_floor8(F)
-    k = (16 * a - 16 * b - (2 * t + 1) * a) // (32 * a)
-    while not _u_gt(F, 2 * k - 1):                # need u > k - 1/2
-        k -= 1
-    while _u_gt(F, 2 * k + 1):                    # need u <= k + 1/2
-        k += 1
-    return k
 
 
 def _canonical_sl2_neg(F: BinaryCubicForm) -> BinaryCubicForm:

@@ -28,7 +28,9 @@ P^1(Z_p): C has a Q_p-point iff one of the chart polynomials takes a cube
 value on Z_p (z = 0 points included, cube 0).  The chart recursion scans
 unit values, strips p-powers, and branches only at roots mod p, so it is
 O(depth) even when p has fifty digits; No is returned only when every
-branch is exhausted (sound), Unknown when the effort budget runs out.
+branch is exhausted (sound), Unknown when the effort budget runs out.  A
+find comes back as (t, level, z, note) in its chart's parameter, and
+locally_solvable builds and checks the witness from it in one place.
 """
 
 from dataclasses import dataclass
@@ -210,10 +212,19 @@ class _Unknown(Exception):
     pass
 
 
-def _chart_search(coeffs, p: int, vshift: int, depth: int, effort: int,
-                  coord: int, mult: int, chart: str):
-    """Find t in Z_p making p^vshift * f(t) a cube in Q_p; the point's
-    affine coordinate is coord + mult*t.  Returns a witness dict or None;
+def _unit_cube(u: int, p: int, vshift: int):
+    """(level, z, note) for the value p^vshift * u, u a cube unit and
+    3 | vshift: z^3 matches the value modulo p^level."""
+    w = vshift // 3
+    c3 = 1 if p == 3 else 0
+    K = 2 * (c3 + 2 * w) + 1
+    r = _lift_cube_root(u % p**max(K - 3 * w, c3 + 1), p, max(K - 3 * w, 1))
+    return K, p**w * r % p**K, f"unit cube at level {K}; v(G)={3*w}"
+
+
+def _chart_search(coeffs, p: int, vshift: int, depth: int, effort: int):
+    """Find t in Z_p making p^vshift * f(t) a cube in Q_p.  Returns
+    (t, level, z, note) with p^vshift * f(t) = z^3 mod p^level, or None;
     raises _Unknown when the depth budget runs out."""
     if depth > effort:
         raise _Unknown
@@ -231,8 +242,7 @@ def _chart_search(coeffs, p: int, vshift: int, depth: int, effort: int,
         val = _poly_eval(coeffs, t)
         if val == 0:
             # exact rational zero of G: a z = 0 point (reducible form)
-            return {"t": t, "coord": coord + mult * t, "chart": chart,
-                    "v": vshift, "unit": 0, "z_zero_exact": True}
+            return (t, 10, 0, "exact zero of G")
         if val % p:
             saw_unit_value = True
             if not want_units:
@@ -241,8 +251,7 @@ def _chart_search(coeffs, p: int, vshift: int, depth: int, effort: int,
                 # unit cube-ness only depends on val mod p, constant on
                 # the class t mod p
                 if _unit_is_cube(val % p, p):
-                    return {"t": t, "coord": coord + mult * t, "chart": chart,
-                            "v": vshift, "unit": val}
+                    return (t, *_unit_cube(val, p, vshift))
                 continue
             # p = 3: cube-ness is decided mod 9, and f(t + 3s) runs through
             # all three residues of val's class mod 3 when f'(t) is a unit,
@@ -250,8 +259,7 @@ def _chart_search(coeffs, p: int, vshift: int, depth: int, effort: int,
             for s in (0, 1, 2):
                 v2 = _poly_eval(coeffs, t + 3 * s)
                 if v2 % 3 and _unit_is_cube(v2 % 9, 3):
-                    return {"t": t + 3 * s, "coord": coord + mult * (t + 3 * s),
-                            "chart": chart, "v": vshift, "unit": v2}
+                    return (t + 3 * s, *_unit_cube(v2, p, vshift))
     # remaining candidates sit over roots of f mod p
     unknown = False
     if not exhaustive and want_units and saw_unit_value:
@@ -263,49 +271,25 @@ def _chart_search(coeffs, p: int, vshift: int, depth: int, effort: int,
     for t0 in _roots_mod_p(coeffs, p):
         val = _poly_eval(coeffs, t0)
         if val == 0:
-            return {"t": t0, "coord": coord + mult * t0, "chart": chart,
-                    "v": vshift, "unit": 0, "z_zero_exact": True}
+            return (t0, 10, 0, "exact zero of G")
         # Hensel: a simple enough root of f gives a Z_p zero of G, i.e. a
         # projective point with z = 0
         dval = _poly_eval((coeffs[1], 2 * coeffs[2], 3 * coeffs[3], 0), t0)
         if dval != 0 and _vp(val, p) > 2 * _vp(dval, p):
-            return {"t": t0, "coord": coord + mult * t0, "chart": chart,
-                    "v": _vp(val, p) + vshift, "unit": None,
-                    "z_zero_hensel": (_vp(val, p), _vp(dval, p))}
+            v, m = _vp(val, p), _vp(dval, p)    # the level leaves out vshift
+            return (t0, v, 0, f"z=0 branch: v(G)={v} > 2*v(dG)={2*m}, Hensel")
         try:
             hit = _chart_search(_poly_shift_scale(coeffs, t0, p), p,
-                                vshift, depth + 1, effort,
-                                coord + mult * t0, mult * p, chart)
+                                vshift, depth + 1, effort)
         except _Unknown:
             unknown = True
             continue
         if hit is not None:
-            return hit
+            s, level, z, note = hit
+            return (t0 + p * s, level, z, note)
     if unknown:
         raise _Unknown
     return None
-
-
-def _witness_from_hit(F: BinaryCubicForm, p: int, hit: dict) -> LocalWitness:
-    if hit["chart"] == "A":
-        x, y = 1, hit["coord"]
-    else:
-        x, y = hit["coord"], 1
-    if hit.get("z_zero_exact"):
-        return LocalWitness(p, 10, (x, y, 0), note="exact zero of G")
-    if "z_zero_hensel" in hit:
-        v, m = hit["z_zero_hensel"]
-        return LocalWitness(p, v, (x, y, 0),
-                            note=f"z=0 branch: v(G)={v} > 2*v(dG)={2*m}, Hensel")
-    # unit-cube hit: G(x, y) = p^(3w) * u with u a cube unit
-    w, u = hit["v"] // 3, hit["unit"]
-    c3 = 1 if p == 3 else 0
-    K = 2 * (c3 + 2 * w) + 1
-    r = _lift_cube_root(u % p**max(K - 3 * w, c3 + 1), p, max(K - 3 * w, 1))
-    z = p**w * r
-    assert (F(x, y) - z**3) % p**K == 0
-    return LocalWitness(p, K, (x, y, z % p**K),
-                        note=f"unit cube at level {K}; v(G)={3*w}")
 
 
 def locally_solvable(C: HomogeneousSpace, p, effort: int = 24):
@@ -327,18 +311,21 @@ def locally_solvable(C: HomogeneousSpace, p, effort: int = 24):
 
     a, b, c, d = F.coeffs()
     charts = (
-        ((a, b, c, d), "A", 0, 1),                      # (1 : t), f = G(1, t)
-        ((d, c * p, b * p * p, a * p**3), "B", 0, p),   # (pt : 1), f = G(pt, 1)
+        ((a, b, c, d), lambda t: (1, t)),                     # f = G(1, t)
+        ((d, c * p, b * p * p, a * p**3), lambda t: (p * t, 1)),  # G(pt, 1)
     )
     unknown = False
-    for coeffs, name, coord, mult in charts:
+    for coeffs, point in charts:
         try:
-            hit = _chart_search(coeffs, p, 0, 0, effort, coord, mult, name)
+            hit = _chart_search(coeffs, p, 0, 0, effort)
         except _Unknown:
             unknown = True
             continue
         if hit is not None:
-            return ("yes", _witness_from_hit(F, p, hit))
+            t, level, z, note = hit
+            witness = LocalWitness(p, level, (*point(t), z), note)
+            assert witness.verify(F)
+            return ("yes", witness)
     return ("unknown", None) if unknown else ("no", None)
 
 

@@ -216,50 +216,35 @@ def lambda_preimage(S: CurvePoint, D: int) -> CurvePoint | None:
 
 # --- descent maps into quadratic fields mod cubes ---
 
-@dataclass(frozen=True)
-class DescentClass:
-    """An element of Q(sqrt d)* / (Q(sqrt d)*)^3: a representative with the
-    denominators cleared, plus a triviality flag for the group identity."""
-    d: int
-    value: QuadElem | None     # None encodes the trivial class (from O)
-
-    def __post_init__(self):
-        if self.value is not None:
-            assert self.value.d == self.d and not self.value.is_zero()
-
-    def is_cube_class(self) -> bool:
-        return self.value is None or is_cube(self.value) is not None
-
-
-def psi(P: CurvePoint, D: int) -> DescentClass:
+def psi(P: CurvePoint, D: int) -> QuadElem | None:
     """P = (u/w^2, v/w^3) on E_D maps to v + 4w^3 sqrt(D), a cube times
-    y + 4 sqrt(D); its norm is u^3."""
+    y + 4 sqrt(D); its norm is u^3.  O maps to None, the trivial class of
+    Q(sqrt D)* / cubes."""
     if P.curve != MordellCurve.e_d(D):
         raise CurveMismatch("psi wants a point of E_D")
     if P.infinite:
-        return DescentClass(D, None)
+        return None
     if P.x == 0:
         raise ValidationError("x = 0 is the kernel of psi's curve map")
     u, v, w = P.uvw()
     alpha = QuadElem.from_pair(D, v, 4 * w**3)
     assert alpha.norm() == u**3
-    return DescentClass(D, alpha)
+    return alpha
 
 
-def psi_prime(S: CurvePoint, D: int) -> DescentClass:
+def psi_prime(S: CurvePoint, D: int) -> QuadElem | None:
     """S = (U/W^2, V/W^3) on E_D' maps to V + 12 W^3 sqrt(D'), D' = -3D;
-    its norm is U^3.  Kernel = lambda(E_D(Q))."""
+    its norm is U^3; O maps to None.  Kernel = lambda(E_D(Q))."""
     if S.curve != MordellCurve.e_d_prime(D):
         raise CurveMismatch("psi_prime wants a point of E_D'")
-    dp = -3 * D
     if S.infinite:
-        return DescentClass(dp, None)
+        return None
     if S.x == 0:
         raise ValidationError("X = 0 is the kernel of psi_prime's curve map")
     U, V, W = S.uvw()
-    alpha = QuadElem.from_pair(dp, V, 12 * W**3)
+    alpha = QuadElem.from_pair(-3 * D, V, 12 * W**3)
     assert alpha.norm() == U**3
-    return DescentClass(dp, alpha)
+    return alpha
 
 
 def in_lambda_image(S: CurvePoint, D: int) -> bool:
@@ -269,7 +254,7 @@ def in_lambda_image(S: CurvePoint, D: int) -> bool:
     if S.x == 0:
         # (0, +-12 sqrt(-3D)) rational only for -3D square; excluded upstream
         raise ValidationError("X = 0: the torsion point has no lambda test")
-    return psi_prime(S, D).is_cube_class()
+    return is_cube(psi_prime(S, D)) is not None
 
 
 # --- monic points ---
@@ -389,7 +374,7 @@ def cube_class_relations(elems: list[QuadElem]) -> list[tuple | None]:
 def _psi_prime_relations(points, D):
     """The affine points and their cube_class_relations under psi'."""
     pts = [S for S in points if not S.infinite]
-    return pts, cube_class_relations([psi_prime(S, D).value for S in pts])
+    return pts, cube_class_relations([psi_prime(S, D) for S in pts])
 
 
 def span_dim_mod_lambda(points: list[CurvePoint], D: int) -> int:
@@ -424,5 +409,5 @@ def span_dim_mod_3(points: list[CurvePoint], D: int) -> int:
             raise PreimageMissing(
                 f"psi'({T}) is a cube but no rational preimage found")
         if not P.infinite and P.x != 0:
-            kernel.append(psi(P, D).value)
+            kernel.append(psi(P, D))
     return len(basis) + cube_class_relations(kernel).count(None)

@@ -265,3 +265,19 @@ def test_readme_commands_run(capsys):
     assert len(filters) >= 2
     for text in filters:
         _parse_filter(text)
+
+
+def test_readme_quick_start_outputs(capsys):
+    """The README's library quick start runs, and each print whose comment
+    states an output prints exactly that: 1, 2 2 and 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    comments = [l.split("#", 1)[1].strip() for l in block.splitlines()
+                if l.startswith("print(") and "#" in l]
+    assert out[:3] == ["1", "2 2", "0"]
+    for printed, comment in zip(out[:3], comments):
+        assert re.match(re.escape(printed) + r"(\W|$)", comment), comment
+    assert json.loads(out[3])["seed"]["disc"] == "-23"

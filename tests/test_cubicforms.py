@@ -331,6 +331,21 @@ def test_reduce_matches_fraction_oracle_for_negative_disc():
         done += 1
 
 
+def test_round_u_matches_fraction_oracle():
+    # coefficient sizes drawn apart, up to 10^12, so that each of b, c and
+    # d in turn sets how far out in the Cauchy bracket Re(xi) lies
+    rng = random.Random(316)
+    done = 0
+    while done < 300:
+        a, b, c, d = (rng.randint(-10**e, 10**e)
+                      for e in rng.choices((0, 1, 3, 6, 12), k=4))
+        F = BinaryCubicForm(abs(a) or 1, b, c, d)
+        if disc(F) >= 0 or not is_irreducible(F):
+            continue
+        assert cubicforms._round_u(F) == helpers._round_u(F), F
+        done += 1
+
+
 def test_reduce_matches_transform_oracle_for_positive_disc():
     rng = random.Random(315)
     done = 0

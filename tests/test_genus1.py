@@ -23,6 +23,29 @@ INSOLVABLE = (
 )
 
 
+# one witness of each kind, pinned by repr(LocalWitness) so that the chart
+# search and the witness assembly keep every field: (coefficients, p, repr)
+WITNESS_PINS = (
+    # exact zero of G, reached one level down the residue tree
+    ((4, -20, -21, 15), 2, "LocalWitness(place=2, level=10, triple=(1, 2, 0),"
+     " note='exact zero of G')"),
+    # Hensel z = 0 point; the level is v_p of the stripped chart value, 4,
+    # not v_2(G(1, 1)) = 5
+    ((-2, -12, 8, -26), 2, "LocalWitness(place=2, level=4, triple=(1, 1, 0),"
+     " note='z=0 branch: v(G)=4 > 2*v(dG)=0, Hensel')"),
+    # unit cube at p = 3 below a root mod 3
+    ((25, -24, -24, -2), 3, "LocalWitness(place=3, level=7,"
+     " triple=(1, 11, 30), note='unit cube at level 7; v(G)=3')"),
+    # unit cube at p = 7 = 1 mod 3: G(1, t) = 2(t - 1)^3 + 3*7^3 has no
+    # unit cube value mod 7, so the hit t = 1 + 7*3 is found at depth 1
+    ((1027, 6, -6, 2), 7, "LocalWitness(place=7, level=5,"
+     " triple=(1, 22, 252), note='unit cube at level 5; v(G)=3')"),
+    # the (pt : 1) chart, t = 2
+    ((-50, 0, 0, -8788), 13, "LocalWitness(place=13, level=5,"
+     " triple=(26, 1, 1573), note='unit cube at level 5; v(G)=3')"),
+)
+
+
 def test_space_guards_seed_disc():
     F = reduce(BinaryCubicForm(1, 0, -1, 1))
     HomogeneousSpace(F, make_seed(1, 1))
@@ -38,6 +61,14 @@ def test_insolvable_fixtures():
         assert witness is None
         # independent confirmation by exhaustive residue scan
         assert not helpers.chart_solutions_exist(F, p, level), (coeffs, p)
+
+
+def test_witness_pins():
+    for coeffs, p, want in WITNESS_PINS:
+        F = BinaryCubicForm(*coeffs)
+        status, witness = locally_solvable(HomogeneousSpace(F), p)
+        assert status == "yes" and repr(witness) == want, (coeffs, p)
+        assert witness.verify(F)
 
 
 def test_solvable_cases_carry_verified_witnesses():

@@ -126,8 +126,8 @@ def test_spans_skip_infinity_and_track_psi_prime():
     assert span_dim_mod_3([O, O], D) == 0
     # the relation is read off psi' values: S and -S have inverse classes
     S = pts[0]
-    assert cube_class_relations([psi_prime(S, D).value,
-                                 psi_prime(-S, D).value]) == [None, (2,)]
+    assert cube_class_relations([psi_prime(S, D),
+                                 psi_prime(-S, D)]) == [None, (2,)]
 
 
 def test_report_json_round_trip_over_scan_box():

@@ -379,17 +379,13 @@ _TARGETS = {
 }
 
 
-def _residue_patterns(F: BinaryCubicForm, m: int, allowed) -> list[int]:
-    """For each y mod m, the m-bit pattern whose bit s is set when
-    F(s, y) mod m lies in `allowed`."""
+def _residue_row(F: BinaryCubicForm, m: int, ok, y: int) -> int:
+    """The m-bit row for y mod m, whose bit s is set when F(s, y) mod m
+    lies in `ok`."""
     a, b, c, d = (t % m for t in F.coeffs())
-    ok = [v in allowed for v in range(m)]
-    pats = []
-    for y in range(m):
-        by, cy, dy = b * y, c * y * y, d * y**3
-        pats.append(sum(1 << s for s in range(m)
-                        if ok[(((a * s + by) * s + cy) * s + dy) % m]))
-    return pats
+    by, cy, dy = b * y, c * y * y, d * y**3
+    return sum(1 << s for s in range(m)
+               if (((a * s + by) * s + cy) * s + dy) % m in ok)
 
 
 def _sieved_search(F: BinaryCubicForm, bound: int, target: str):
@@ -397,45 +393,46 @@ def _sieved_search(F: BinaryCubicForm, bound: int, target: str):
     (max(|x|, |y|), x, y), whose value F(x, y) meets the target ('cube':
     a perfect cube, 'unit': exactly 1); None when the box has none.
 
-    Boxes of radius 1, 2, 4, ... (the last one capped at bound) are
-    searched in turn, and the search stops at the first radius with a hit.
-    That returns exactly the first hit of the whole box: every cell of
-    smaller max-norm lies in an earlier radius, which had none, and the
-    minimum is taken over the full radius that has one.  (0, 0) is never
+    Boxes of the radii bound, bound // 2, bound // 4, ..., 1 are searched
+    in ascending order, and the search stops at the first radius with a
+    hit.  That returns exactly the first hit of the whole box: every cell
+    of smaller max-norm lies in an earlier radius, which had none, and the
+    minimum is taken over the full radius that has one.  Each radius is at
+    most twice the one before, so a hit of max-norm h is found below
+    radius 2h, and the last box is the bound itself.  (0, 0) is never
     coprime and is never visited.
 
     Radius r sieves the rows y = 0 .. r over x = -r .. r in one loop; a
     row y <= done starts from a hole mask that clears |x| <= done, the
-    cells the previous radius decided.  Residue patterns are built per
-    modulus and masks tiled per row residue on first use, with one mask
-    cache per radius that all its rows share.
+    cells the previous radius decided.  The residue row of a modulus for
+    one y mod m is built the first time a row needs it and kept for the
+    whole search; its mask tiled to the width of a radius is kept for
+    that radius, shared by all its rows.
 
     Only the upper half-plane y >= 0 is sieved.  Since F(-x, -y) =
     -F(x, y), every cell with y < 0 is the mirror (-x, -y) of a sieved
     cell, and it is a hit exactly when -F(x, y) meets the target, so each
     cell of the box is still decided once (row 0 twice)."""
     allowed, accept = _TARGETS[target]
-    patterns = [None] * len(_SIEVE_MODULI)
+    oks = [allowed(m) for m in _SIEVE_MODULI]
+    rows = [[None] * m for m in _SIEVE_MODULI]
     done = 0
-    while done < bound:
-        r = min(2 * done or 1, bound)
+    for i in reversed(range(bound.bit_length())):
+        r = bound >> i
         full = (1 << (2 * r + 1)) - 1
         hole = full ^ (((1 << (2 * done + 1)) - 1) << (r - done))
-        masks = [None] * len(_SIEVE_MODULI)
+        sieve = [(k, m, [None] * m) for k, m in enumerate(_SIEVE_MODULI)]
         hits = []
         for y in range(r + 1):
             row = hole if y <= done else full
-            for k, m in enumerate(_SIEVE_MODULI):
-                ms = masks[k]
-                if ms is None:
-                    if patterns[k] is None:
-                        patterns[k] = _residue_patterns(F, m, allowed(m))
-                    ms = masks[k] = [None] * m
-                t = y % m
-                mask = ms[t]
+            for k, m, masks in sieve:
+                mask = masks[y % m]
                 if mask is None:
-                    mask = ms[t] = tile_residues(patterns[k][t], m, -r,
-                                                 2 * r + 1)
+                    t = y % m
+                    pat = rows[k][t]
+                    if pat is None:
+                        pat = rows[k][t] = _residue_row(F, m, oks[k], t)
+                    mask = masks[t] = tile_residues(pat, m, -r, 2 * r + 1)
                 row &= mask
                 if not row:
                     break
@@ -460,8 +457,8 @@ def monic_representative(F: BinaryCubicForm, bound: int) -> MonicSearch:
     semi-decision, valid only up to the bound.
 
     The residue sieve of _sieved_search (target residue 1 modulo each
-    sieve modulus, survivors checked exactly) stops at the first doubling
-    radius with a hit and returns the same first hit as a full scan.  For
+    sieve modulus, survivors checked exactly) stops at the first of its
+    radii with a hit and returns the same first hit as a full scan.  For
     a monic F the identity matrix is returned; its first column (1, 0) is
     the representation of 1."""
     _check_reducible(F)

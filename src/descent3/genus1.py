@@ -14,14 +14,15 @@ hasse_verdict takes the class's MonicSearch from its caller.
 The global search is exact.  It shares the residue sieve of cubicforms
 with the monic search: a cell survives only if its value is a cube modulo
 each of 9, 7, 13, ..., 97, and every survivor is confirmed with an integer
-cube root.  Boxes of radius 1, 2, 4, ... up to the bound are searched in
-turn, each as one pass over the rows 0 .. r that skips the cells of the
-previous box, and the search stops at the first radius with a hit.  The
-returned point is the first hit in (max-norm, x, y) order over the whole
-box, because all smaller max-norms were searched, without a hit, at
-earlier radii.  Only the half-plane y >= 0 is sieved: G(-x, -y) =
--G(x, y) is a cube exactly when G(x, y) is, so each sieved hit (x, y)
-also stands for its mirror (-x, -y) below.  No float enters the search.
+cube root.  Boxes of the radii bound, bound // 2, bound // 4, ..., 1 are
+searched in ascending order, each as one pass over the rows 0 .. r that
+skips the cells of the previous box, and the search stops at the first
+radius with a hit.  The returned point is the first hit in (max-norm, x,
+y) order over the whole box, because all smaller max-norms were searched,
+without a hit, at earlier radii.  Only the half-plane y >= 0 is sieved:
+G(-x, -y) = -G(x, y) is a cube exactly when G(x, y) is, so each sieved
+hit (x, y) also stands for its mirror (-x, -y) below.  No float enters
+the search.
 
 Local solvability is decided through the charts (1 : t) and (pt : 1) of
 P^1(Z_p): C has a Q_p-point iff one of the chart polynomials takes a cube
@@ -117,11 +118,11 @@ def global_search(C: HomogeneousSpace, bound: int):
 
     The residue sieve of cubicforms._sieved_search skips only cells whose
     value is a non-cube modulo a sieve modulus and confirms every survivor
-    with an integer cube root; its radius doubling stops early yet returns
-    the same first hit as a scan of every cell of the box.  Each radius is
-    one pass over the rows y = 0 .. r, and each row y < 0 is read off its
-    mirror, since (x, y) and (-x, -y) have the same gcd, max-norm and cube
-    status."""
+    with an integer cube root; its radii, which halve down from the bound,
+    stop early yet return the same first hit as a scan of every cell of
+    the box.  Each radius is one pass over the rows y = 0 .. r, and each
+    row y < 0 is read off its mirror, since (x, y) and (-x, -y) have the
+    same gcd, max-norm and cube status."""
     F = C.form
     hit = _sieved_search(F, bound, "cube")
     if hit is None:
@@ -276,8 +277,9 @@ def _chart_search(coeffs, p: int, vshift: int, depth: int, effort: int):
         # projective point with z = 0
         dval = _poly_eval((coeffs[1], 2 * coeffs[2], 3 * coeffs[3], 0), t0)
         if dval != 0 and _vp(val, p) > 2 * _vp(dval, p):
-            v, m = _vp(val, p), _vp(dval, p)    # the level leaves out vshift
-            return (t0, v, 0, f"z=0 branch: v(G)={v} > 2*v(dG)={2*m}, Hensel")
+            v, m = _vp(val, p), _vp(dval, p)
+            return (t0, vshift + v, 0, f"z=0 branch: v(f)={v} > 2*v(df)="
+                    f"{2*m}, Hensel; v(G)={vshift + v}")
         try:
             hit = _chart_search(_poly_shift_scale(coeffs, t0, p), p,
                                 vshift, depth + 1, effort)

@@ -29,10 +29,10 @@ WITNESS_PINS = (
     # exact zero of G, reached one level down the residue tree
     ((4, -20, -21, 15), 2, "LocalWitness(place=2, level=10, triple=(1, 2, 0),"
      " note='exact zero of G')"),
-    # Hensel z = 0 point; the level is v_p of the stripped chart value, 4,
-    # not v_2(G(1, 1)) = 5
-    ((-2, -12, 8, -26), 2, "LocalWitness(place=2, level=4, triple=(1, 1, 0),"
-     " note='z=0 branch: v(G)=4 > 2*v(dG)=0, Hensel')"),
+    # Hensel z = 0 point: v_2 = 4 of the content-stripped chart value f
+    # passes the Hensel test, and the level is v_2(G(1, 1)) = v_2(-32) = 5
+    ((-2, -12, 8, -26), 2, "LocalWitness(place=2, level=5, triple=(1, 1, 0),"
+     " note='z=0 branch: v(f)=4 > 2*v(df)=0, Hensel; v(G)=5')"),
     # unit cube at p = 3 below a root mod 3
     ((25, -24, -24, -2), 3, "LocalWitness(place=3, level=7,"
      " triple=(1, 11, 30), note='unit cube at level 7; v(G)=3')"),

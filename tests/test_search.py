@@ -1,6 +1,7 @@
 """The exact residue-sieved point searches against a scan of every cell."""
 
 import random
+from collections import Counter
 from math import gcd
 
 import helpers
@@ -90,7 +91,8 @@ def test_unit_hit_from_minus_one_on_row_zero():
 
 # forms planted as act(G, N) with G monic and N(x0, y0) = (1, 0), so that
 # F(x0, y0) = 1; the first hit of each is at the cell its comment names,
-# in the doubling radii 1, 2, 4, 8, 16 (bound 16) or 1, .., 16, 20 (bound 20)
+# in the radii bound >> i: 1, 2, 4, 8, 16 (bound 16), 1, 2, 5, 10, 20
+# (bound 20) or 1, 3, 6, 13 (bound 13)
 PLANTED = (
     # |x| = done + 1 = 9 on a row y <= done = 8 of radius 16
     # (the cube hit (-9, -8) is the mirror of the sieved cell (9, 8))
@@ -99,9 +101,20 @@ PLANTED = (
     # y = done + 1 = 9 with |x| <= done, radius 16
     ((-22762, 15010, -3296, 241), 16, "unit", (2, 9)),
     ((11719, 31533, 28284, 8457), 16, "cube", (-8, 9)),
-    # inside the capped last radius 20 (done = 16): an outer and an inner row
+    # |x| = done + 1 = 11 on a row y <= done = 10 of the last radius 20
+    # (the cube hit (-11, -7) is the mirror of the sieved cell (11, 7))
+    ((-1394, -15432, -56944, -70039), 20, "unit", (-11, 3)),
+    ((2946, -13965, 22066, -11622), 20, "cube", (-11, -7)),
+    # y = done + 1 = 11 with |x| <= done, radius 20
+    ((10926, -14814, 6696, -1009), 20, "unit", (5, 11)),
+    ((-29193, -79260, -71731, -21639), 20, "cube", (-10, 11)),
+    # deeper inside the last radius 20 (done = 10): two outer rows
     ((-24425, 27618, -10397, 1303), 20, "unit", (7, 18)),
     ((434, 1703, 2086, 755), 20, "cube", (-18, 11)),
+    # the odd bound 13 (done = 6): |x| = 7 on the row y = done, and the
+    # outer row y = 13
+    ((917, 3240, 3815, 1497), 13, "unit", (-7, 6)),
+    ((-20032, -18443, -5660, -579), 13, "cube", (-4, 13)),
 )
 
 
@@ -140,6 +153,29 @@ def test_sieve_checks_each_cell_of_the_upper_half_box_once(monkeypatch):
         want = [(x, y) for y in range(bound + 1)
                 for x in range(-bound, bound + 1) if gcd(x, y) == 1]
         assert sorted(seen) == sorted(want), bound
+
+
+def test_sieve_builds_residue_rows_on_demand(classes_4897363, monkeypatch):
+    # the four classes that do not represent 1 within 10^3 have small
+    # global points, so each search stops at a small radius and builds one
+    # or two of the m residue rows of a modulus, each once
+    spaces = [HomogeneousSpace(F) for F in classes_4897363
+              if not monic_representative(F, 1000).found]
+    assert len(spaces) == 4
+    residue_row = cubicforms._residue_row
+    built = []
+
+    def spy(F, m, ok, y):
+        built.append((m, y))
+        return residue_row(F, m, ok, y)
+
+    monkeypatch.setattr(cubicforms, "_residue_row", spy)
+    for C in spaces:
+        built.clear()
+        assert global_search(C, 10**4) is not None
+        assert built and len(set(built)) == len(built), C.form
+        per_modulus = Counter(m for m, _ in built)
+        assert max(per_modulus.values()) <= 2, (C.form, per_modulus)
 
 
 def test_sieve_finds_no_cube_on_classes_of_48035713():
@@ -188,7 +224,8 @@ def test_sieve_exact_on_huge_coefficients():
 
 
 def test_global_search_far_point_pinned():
-    # the hit (-196, 39) lies in the last doubling radius before the bound
+    # a class of the seed (-196, 39): its first hit (-841, 983) has
+    # max-norm 983 and is found at radius 1250 = 10**4 >> 3 (done = 625)
     C = HomogeneousSpace(BinaryCubicForm(37, -42, 70, -9))
     assert global_search(C, 10**4) == (841, -983, 4886)
 

@@ -30,6 +30,11 @@ dimension mod 3 follows from the exact sequence
 each relation mod lambda names a point T = lambda(P) of the kernel, and
 T lies in 3E_D' iff psi(P) is a cube, so the psi(P) add their rank.
 
+A report runs psi_prime_relations once, over the searched points and then
+the class points the search missed.  The greedy basis of a prefix spans
+that prefix, so its entries among the searched points count their rank
+mod lambda, and span_dim_mod_3 reuses the same relations.
+
 Monic forms give points of E_D' through the syzygy 4H^3 = G^2 + 27DF^2
 at (1, 0), which reads G^2 = 4P^3 - 27D (syzygy_point,
 search_monic_points).
@@ -371,7 +376,7 @@ def cube_class_relations(elems: list[QuadElem]) -> list[tuple | None]:
     return out
 
 
-def _psi_prime_relations(points, D):
+def psi_prime_relations(points, D):
     """The affine points and their cube_class_relations under psi'."""
     pts = [S for S in points if not S.infinite]
     return pts, cube_class_relations([psi_prime(S, D) for S in pts])
@@ -382,10 +387,10 @@ def span_dim_mod_lambda(points: list[CurvePoint], D: int) -> int:
 
     psi' embeds that quotient in K'*/K'*^3, K' = Q(sqrt(-3D)), so this is
     the F_3-rank of the psi'-values; no point arithmetic."""
-    return _psi_prime_relations(points, D)[1].count(None)
+    return psi_prime_relations(points, D)[1].count(None)
 
 
-def span_dim_mod_3(points: list[CurvePoint], D: int) -> int:
+def span_dim_mod_3(points: list[CurvePoint], D: int, *, relations=None):
     """dim of the image of the given E_D' points in E_D'(Q)/3E_D'(Q).
 
     By the exact sequence in the module docstring, every point S that is
@@ -393,8 +398,9 @@ def span_dim_mod_3(points: list[CurvePoint], D: int) -> int:
     T = S - sum c_j B_j in lambda(E_D(Q)) (c_j = 2 is taken as -1; the
     difference lies in 3E_D'(Q)).  Its preimage P has psi(P) a cube iff
     T is in 3E_D'(Q) = lambda(lambda_dual(E_D'(Q))), so the dimension is
-    the dimension mod lambda plus the F_3-rank of the psi(P)."""
-    pts, rels = _psi_prime_relations(points, D)
+    the dimension mod lambda plus the F_3-rank of the psi(P).  relations
+    is psi_prime_relations(points, D) when the caller already has it."""
+    pts, rels = relations or psi_prime_relations(points, D)
     basis, kernel = [], []
     for S, coeffs in zip(pts, rels):
         if coeffs is None:

@@ -29,8 +29,9 @@ from .cubicforms import (BinaryCubicForm, enumerate_classes,
 from .errors import (ExcludedDiscriminant, InconsistencyError,
                      InconsistentInputs, PositiveDiscriminant)
 from .genus1 import Genus1Verdict, HomogeneousSpace, hasse_verdict
-from .mordell import (CurvePoint, MordellCurve, search_monic_points,
-                      span_dim_mod_3, span_dim_mod_lambda, syzygy_point)
+from .mordell import (CurvePoint, MordellCurve, psi_prime_relations,
+                      search_monic_points, span_dim_mod_3,
+                      span_dim_mod_lambda, syzygy_point)
 from .seeds import DiscriminantSeed
 
 
@@ -310,7 +311,8 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
     searched = search_monic_points(D, point_bound)
 
     dim_from_classes = span_dim_mod_lambda(class_points, D)
-    dim_quotient_lambda = span_dim_mod_lambda(searched, D)
+    pts, rels = psi_prime_relations(dict.fromkeys(searched + class_points), D)
+    dim_quotient_lambda = rels[:len(searched)].count(None)
     if dim_from_classes != dim_quotient_lambda:
         raise InconsistencyError(
             f"r3(monic) cross-check failed: {dim_from_classes} from "
@@ -323,9 +325,8 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
             f"{found_count} monic classes cannot sit inside a span of "
             f"dimension {r3_monic_lb}")
 
-    points = sorted(set(searched) | set(class_points),
-                    key=lambda P: (P.x, P.y))
-    dim_mod_3 = span_dim_mod_3(points, D)
+    points = sorted(pts, key=lambda P: (P.x, P.y))
+    dim_mod_3 = span_dim_mod_3(pts, D, relations=(pts, rels))
 
     selmer_l, selmer_ld = selmer_ranks(D, r3)
     rank_ub = selmer_l + selmer_ld

@@ -184,6 +184,17 @@ def naive_first_point(F, bound: int, accept):
     return hits[0] if hits else None
 
 
+def naive_cubic_square_points(c: int, lo: int, hi: int):
+    """The (s, t), t >= 0, with t^2 = 4s^3 - c and lo <= s <= hi, by an
+    isqrt at every s, ascending."""
+    out = []
+    for s in range(lo, hi + 1):
+        v = 4 * s**3 - c
+        if v >= 0 and isqrt(v) ** 2 == v:
+            out.append((s, isqrt(v)))
+    return out
+
+
 def naive_monic_points(D: int, bound: int):
     """The monic lattice points of E_D' by walking both lattices one index
     at a time: (12m, +-108n) with 27n^2 = 4m^3 - D, |m| <= bound, and

@@ -168,6 +168,19 @@ def test_scan_jobs_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == solo
 
 
+def test_scan_box_with_hasse_matches_recorded_bytes(capsys):
+    # 39 reports with their Hasse verdicts, recorded at default bounds; a
+    # speedup anywhere in the pipeline must leave these bytes alone
+    want = (Path(__file__).parent / "data"
+            / "scan_-8_8_1_7_hasse.jsonl").read_bytes()
+    rc = main(["scan", "--m=-8..8", "--n=1..7", "--format", "json",
+               "--hasse"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 39
+    assert out.encode() == want
+
+
 def test_tables_regenerate(capsys):
     rc = main(["tables", "--which", "4"])
     assert rc == 0

@@ -2,10 +2,11 @@
 
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 
 import helpers
 import descent3.cubicforms as cubicforms
+from descent3.arith import _CUBIC_SQUARE_BLOCK, cubic_square_points
 from descent3 import (BinaryCubicForm, HomogeneousSpace, act, disc,
                       global_search, is_irreducible, make_seed,
                       monic_representative, search_monic_points)
@@ -301,3 +302,34 @@ def test_monic_sieve_on_bench_anchors():
     for m, n in ((-34, 419), (229, 3), (1, 1), (7, 3)):
         counts[m, n] = _assert_monic_matches(make_seed(m, n).D, 10**5)
     assert counts == {(-34, 419): 22, (229, 3): 2, (1, 1): 10, (7, 3): 2}
+
+
+# --- cubic_square_points across its 2^16-index blocks ---
+
+def test_cubic_square_points_across_block_boundaries():
+    # each pattern is tiled once from lo and shifted per block, so the
+    # planted point sits just before, on and just after a block start
+    # while lo walks 81 consecutive values (every offset mod 81 and mod
+    # 64); t0 = 5 puts the point on the least cube index itself, so lo
+    # starts below it for half the walk
+    B = _CUBIC_SQUARE_BLOCK
+    widths = (B - 1, B, B + 1, 2 * B + 81)
+    cases = [(10**6 + 7, 5, 40), (-(10**6) - 3, 5, 40)]
+    for off in (40, B + 40, 2 * B + 40):
+        s0 = 2 * 10**6 + off
+        t0 = isqrt(s0**3)                       # c ~ 3 s0^3 > 0
+        cases += [(s0, t0, off), (s0, 3 * t0, off)]  # c ~ -5 s0^3 < 0
+    signs = Counter()
+    for s0, t0, off in cases:
+        c = 4 * s0**3 - t0 * t0                 # (s0, t0) is on the curve
+        signs[c > 0] += 1
+        w0 = s0 - off
+        want = helpers.naive_cubic_square_points(c, w0, w0 + 80 + widths[-1])
+        assert (s0, t0) in want
+        for k in range(81):
+            lo = w0 + k
+            for w in widths:
+                got = list(cubic_square_points(c, lo, lo + w - 1))
+                assert got == [p for p in want if lo <= p[0] < lo + w], \
+                    (c, lo, w)
+    assert signs == {True: 4, False: 4}

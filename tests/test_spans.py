@@ -5,9 +5,11 @@ round trip over a scan box."""
 import random
 import time
 
-from descent3 import (QuadElem, add, build_report, is_cube, make_seed,
-                      mul_scalar, psi_prime, scan, search_monic_points,
-                      span_dim_mod_3, span_dim_mod_lambda)
+from descent3 import (QuadElem, add, build_report, enumerate_classes,
+                      is_cube, make_seed, monic_representative, mul_scalar,
+                      psi_prime, scan, search_monic_points, span_dim_mod_3,
+                      span_dim_mod_lambda, syzygy_pair, syzygy_point)
+import descent3.mordell as mordell
 from descent3.errors import ValidationError
 from descent3.mordell import cube_class_relations
 from descent3.report import report_from_json, report_to_json
@@ -128,6 +130,40 @@ def test_spans_skip_infinity_and_track_psi_prime():
     S = pts[0]
     assert cube_class_relations([psi_prime(S, D),
                                  psi_prime(-S, D)]) == [None, (2,)]
+
+
+def test_report_spans_come_from_one_psi_prime_pass(monkeypatch):
+    # build_report reads dim mod lambda off the searched prefix of one
+    # relation pass and hands the same pass to span_dim_mod_3: the
+    # dimensions equal the separate calls on the searched points and on
+    # the sorted union, and psi' runs once per searched point plus the
+    # class cross-check (the separate calls took two per searched point)
+    calls = [0]
+    real_psi_prime = mordell.psi_prime
+
+    def counting(S, D):
+        calls[0] += 1
+        return real_psi_prime(S, D)
+
+    seeds = [make_seed(m, n) for m, n in ANCHORS + POOL]
+    seeds += scan(range(-8, 9), range(1, 8))
+    assert len(seeds) == 48
+    for seed in seeds:
+        D = seed.D
+        monkeypatch.setattr(mordell, "psi_prime", counting)
+        calls[0] = 0
+        rep = build_report(seed, run_hasse=False)
+        monkeypatch.setattr(mordell, "psi_prime", real_psi_prime)
+        searched = search_monic_points(D, 10**5)
+        reps = [monic_representative(F, 10**3) for F in enumerate_classes(D)]
+        class_points = [syzygy_point(D, *syzygy_pair(r.form))
+                        for r in reps if r.found]
+        union = sorted(set(searched) | set(class_points),
+                       key=lambda P: (P.x, P.y))
+        assert calls[0] <= len(searched) + len(class_points), (seed.m, seed.n)
+        assert rep.points == union
+        assert rep.dim_quotient_lambda == span_dim_mod_lambda(searched, D)
+        assert rep.dim_mod_3 == span_dim_mod_3(union, D)
 
 
 def test_report_json_round_trip_over_scan_box():

@@ -366,7 +366,9 @@ class MonicSearch:
 # residues are closed under negation (the cubes are already; the unit
 # target allows both 1 and -1), and a survivor (x, y) stands for itself
 # when F(x, y) passes the exact test and for its mirror (-x, -y) when
-# -F(x, y) does.
+# -F(x, y) does.  The rows y = 0 .. bound are sieved once each, in order,
+# at the full width of the box, and the walk stops once the row index
+# passes the max-norm of the best hit.
 
 _SIEVE_MODULI = (9, 7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97)
 
@@ -393,61 +395,47 @@ def _sieved_search(F: BinaryCubicForm, bound: int, target: str):
     (max(|x|, |y|), x, y), whose value F(x, y) meets the target ('cube':
     a perfect cube, 'unit': exactly 1); None when the box has none.
 
-    Boxes of the radii bound, bound // 2, bound // 4, ..., 1 are searched
-    in ascending order, and the search stops at the first radius with a
-    hit.  That returns exactly the first hit of the whole box: every cell
-    of smaller max-norm lies in an earlier radius, which had none, and the
-    minimum is taken over the full radius that has one.  Each radius is at
-    most twice the one before, so a hit of max-norm h is found below
-    radius 2h, and the last box is the bound itself.  (0, 0) is never
-    coprime and is never visited.
-
-    Radius r sieves the rows y = 0 .. r over x = -r .. r in one loop; a
-    row y <= done starts from a hole mask that clears |x| <= done, the
-    cells the previous radius decided.  The residue row of a modulus for
+    The rows y = 0, 1, ..., bound are sieved in one pass, each once over
+    the full width x = -bound .. bound, and the search stops before the
+    first row y larger than the max-norm h of the best hit so far.  That
+    returns exactly the first hit of the whole box: every cell of row y
+    has max-norm >= y > h, so no later row can hold a better hit, and
+    every cell of max-norm <= h lies in a row already sieved.  Row 0
+    starts from the two cells x = +-1, the only ones coprime to y = 0;
+    a bound of 0 leaves it empty.  The full-width mask of a modulus for
     one y mod m is built the first time a row needs it and kept for the
-    whole search; its mask tiled to the width of a radius is kept for
-    that radius, shared by all its rows.
+    whole search.
 
     Only the upper half-plane y >= 0 is sieved.  Since F(-x, -y) =
     -F(x, y), every cell with y < 0 is the mirror (-x, -y) of a sieved
     cell, and it is a hit exactly when -F(x, y) meets the target, so each
     cell of the box is still decided once (row 0 twice)."""
     allowed, accept = _TARGETS[target]
-    oks = [allowed(m) for m in _SIEVE_MODULI]
-    rows = [[None] * m for m in _SIEVE_MODULI]
-    done = 0
-    for i in reversed(range(bound.bit_length())):
-        r = bound >> i
-        full = (1 << (2 * r + 1)) - 1
-        hole = full ^ (((1 << (2 * done + 1)) - 1) << (r - done))
-        sieve = [(k, m, [None] * m) for k, m in enumerate(_SIEVE_MODULI)]
-        hits = []
-        for y in range(r + 1):
-            row = hole if y <= done else full
-            for k, m, masks in sieve:
-                mask = masks[y % m]
-                if mask is None:
-                    t = y % m
-                    pat = rows[k][t]
-                    if pat is None:
-                        pat = rows[k][t] = _residue_row(F, m, oks[k], t)
-                    mask = masks[t] = tile_residues(pat, m, -r, 2 * r + 1)
-                row &= mask
-                if not row:
-                    break
-            else:                               # the row has survivors
-                for x in bit_indices(row, -r):
-                    if gcd(x, y) == 1:
-                        v = F(x, y)
-                        if accept(v):
-                            hits.append((x, y))
-                        if accept(-v):
-                            hits.append((-x, -y))
-        if hits:
-            return min(hits, key=lambda h: (max(abs(h[0]), abs(h[1])), h))
-        done = r
-    return None
+    sieve = [(m, allowed(m), [None] * m) for m in _SIEVE_MODULI]
+    width = 2 * bound + 1
+    full = (1 << width) - 1
+    hits = []                                   # (max-norm, x, y)
+    for y in range(bound + 1):
+        if hits and y > min(hits)[0]:
+            break
+        row = full if y else full & (5 << bound >> 1)   # bits of x = +-1
+        for m, ok, masks in sieve:
+            t = y % m
+            if masks[t] is None:
+                masks[t] = tile_residues(_residue_row(F, m, ok, t), m,
+                                         -bound, width)
+            row &= masks[t]
+            if not row:
+                break
+        else:                                   # the row has survivors
+            for x in bit_indices(row, -bound):
+                if gcd(x, y) == 1:
+                    v = F(x, y)
+                    if accept(v):
+                        hits.append((max(abs(x), y), x, y))
+                    if accept(-v):
+                        hits.append((max(abs(x), y), -x, -y))
+    return min(hits)[1:] if hits else None
 
 
 def monic_representative(F: BinaryCubicForm, bound: int) -> MonicSearch:
@@ -457,10 +445,10 @@ def monic_representative(F: BinaryCubicForm, bound: int) -> MonicSearch:
     semi-decision, valid only up to the bound.
 
     The residue sieve of _sieved_search (target residue 1 modulo each
-    sieve modulus, survivors checked exactly) stops at the first of its
-    radii with a hit and returns the same first hit as a full scan.  For
-    a monic F the identity matrix is returned; its first column (1, 0) is
-    the representation of 1."""
+    sieve modulus, survivors checked exactly) stops at the first row
+    beyond the max-norm of its best hit and returns the same first hit as
+    a full scan.  For a monic F the identity matrix is returned; its first
+    column (1, 0) is the representation of 1."""
     _check_reducible(F)
     if F.a == 1:
         return MonicSearch('already_monic', ((1, 0), (0, 1)), F, bound)

@@ -14,15 +14,15 @@ hasse_verdict takes the class's MonicSearch from its caller.
 The global search is exact.  It shares the residue sieve of cubicforms
 with the monic search: a cell survives only if its value is a cube modulo
 each of 9, 7, 13, ..., 97, and every survivor is confirmed with an integer
-cube root.  Boxes of the radii bound, bound // 2, bound // 4, ..., 1 are
-searched in ascending order, each as one pass over the rows 0 .. r that
-skips the cells of the previous box, and the search stops at the first
-radius with a hit.  The returned point is the first hit in (max-norm, x,
-y) order over the whole box, because all smaller max-norms were searched,
-without a hit, at earlier radii.  Only the half-plane y >= 0 is sieved:
-G(-x, -y) = -G(x, y) is a cube exactly when G(x, y) is, so each sieved
-hit (x, y) also stands for its mirror (-x, -y) below.  No float enters
-the search.
+cube root.  The rows y = 0, 1, ..., bound are sieved in one pass, each at
+the full width of the box, and the search stops before the first row
+whose index exceeds the max-norm of the best hit so far.  The returned
+point is the first hit in (max-norm, x, y) order over the whole box,
+because every cell of a later row has a larger max-norm and every cell
+of max-norm up to the hit's lies in a row already sieved.  Only the
+half-plane y >= 0 is sieved: G(-x, -y) = -G(x, y) is a cube exactly when
+G(x, y) is, so each sieved hit (x, y) also stands for its mirror
+(-x, -y) below.  No float enters the search.
 
 Local solvability is decided through the charts (1 : t) and (pt : 1) of
 P^1(Z_p): C has a Q_p-point iff one of the chart polynomials takes a cube
@@ -118,11 +118,11 @@ def global_search(C: HomogeneousSpace, bound: int):
 
     The residue sieve of cubicforms._sieved_search skips only cells whose
     value is a non-cube modulo a sieve modulus and confirms every survivor
-    with an integer cube root; its radii, which halve down from the bound,
-    stop early yet return the same first hit as a scan of every cell of
-    the box.  Each radius is one pass over the rows y = 0 .. r, and each
-    row y < 0 is read off its mirror, since (x, y) and (-x, -y) have the
-    same gcd, max-norm and cube status."""
+    with an integer cube root.  It walks the rows y = 0 .. bound once,
+    each at full width, and stops at the first row beyond the max-norm of
+    its best hit, yet returns the same first hit as a scan of every cell
+    of the box.  Each row y < 0 is read off its mirror, since (x, y) and
+    (-x, -y) have the same gcd, max-norm and cube status."""
     F = C.form
     hit = _sieved_search(F, bound, "cube")
     if hit is None:

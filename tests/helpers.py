@@ -4,7 +4,9 @@ Everything here is deliberately independent of the library internals it
 checks: discriminants are recomputed from the textbook formula, local
 solvability is decided by exhaustive residue search with the elementary
 cube-mod-p^k characterization, and class completeness is certified by
-reducing every form in a coefficient box.
+reducing every form in a coefficient box.  The one exception is the
+radius oracle of the box sieve, which keeps the sieve's residue rows and
+changes only the order in which rows are walked.
 """
 
 import random
@@ -15,7 +17,9 @@ import sympy
 
 from dataclasses import dataclass
 
-from descent3.arith import divisors, integer_roots_monic_cubic, iroot
+from descent3.arith import (bit_indices, divisors, integer_roots_monic_cubic,
+                            iroot, tile_residues)
+from descent3.cubicforms import _SIEVE_MODULI, _TARGETS, _residue_row
 from descent3.errors import DiscriminantMismatch, PreimageMissing, ZeroInput
 from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
                       QuadraticForm, act, add, disc, hessian,
@@ -182,6 +186,75 @@ def naive_first_point(F, bound: int, accept):
             if gcd(x, y) == 1 and accept(F(x, y))]
     hits.sort(key=lambda pq: (max(abs(pq[0]), abs(pq[1])), pq))
     return hits[0] if hits else None
+
+
+# ---------------------------------------------------------------------------
+# radius oracle: the box sieve the library ran before its one-pass row walk.
+# It searches the radii bound, bound // 2, ..., 1 in ascending order, each
+# row starting from a hole mask that clears the previous radius, and stops
+# at the first radius with a hit.  It shares the residue rows, masks and
+# targets of cubicforms, so it checks the row order and the stop rule only.
+
+def radius_sieved_search(F: BinaryCubicForm, bound: int, target: str):
+    """The first coprime (x, y) with |x|, |y| <= bound, in the order
+    (max(|x|, |y|), x, y), whose value F(x, y) meets the target ('cube':
+    a perfect cube, 'unit': exactly 1); None when the box has none.
+
+    Boxes of the radii bound, bound // 2, bound // 4, ..., 1 are searched
+    in ascending order, and the search stops at the first radius with a
+    hit.  That returns exactly the first hit of the whole box: every cell
+    of smaller max-norm lies in an earlier radius, which had none, and the
+    minimum is taken over the full radius that has one.  Each radius is at
+    most twice the one before, so a hit of max-norm h is found below
+    radius 2h, and the last box is the bound itself.  (0, 0) is never
+    coprime and is never visited.
+
+    Radius r sieves the rows y = 0 .. r over x = -r .. r in one loop; a
+    row y <= done starts from a hole mask that clears |x| <= done, the
+    cells the previous radius decided.  The residue row of a modulus for
+    one y mod m is built the first time a row needs it and kept for the
+    whole search; its mask tiled to the width of a radius is kept for
+    that radius, shared by all its rows.
+
+    Only the upper half-plane y >= 0 is sieved.  Since F(-x, -y) =
+    -F(x, y), every cell with y < 0 is the mirror (-x, -y) of a sieved
+    cell, and it is a hit exactly when -F(x, y) meets the target, so each
+    cell of the box is still decided once (row 0 twice)."""
+    allowed, accept = _TARGETS[target]
+    oks = [allowed(m) for m in _SIEVE_MODULI]
+    rows = [[None] * m for m in _SIEVE_MODULI]
+    done = 0
+    for i in reversed(range(bound.bit_length())):
+        r = bound >> i
+        full = (1 << (2 * r + 1)) - 1
+        hole = full ^ (((1 << (2 * done + 1)) - 1) << (r - done))
+        sieve = [(k, m, [None] * m) for k, m in enumerate(_SIEVE_MODULI)]
+        hits = []
+        for y in range(r + 1):
+            row = hole if y <= done else full
+            for k, m, masks in sieve:
+                mask = masks[y % m]
+                if mask is None:
+                    t = y % m
+                    pat = rows[k][t]
+                    if pat is None:
+                        pat = rows[k][t] = _residue_row(F, m, oks[k], t)
+                    mask = masks[t] = tile_residues(pat, m, -r, 2 * r + 1)
+                row &= mask
+                if not row:
+                    break
+            else:                               # the row has survivors
+                for x in bit_indices(row, -r):
+                    if gcd(x, y) == 1:
+                        v = F(x, y)
+                        if accept(v):
+                            hits.append((x, y))
+                        if accept(-v):
+                            hits.append((-x, -y))
+        if hits:
+            return min(hits, key=lambda h: (max(abs(h[0]), abs(h[1])), h))
+        done = r
+    return None
 
 
 def naive_cubic_square_points(c: int, lo: int, hi: int):

@@ -8,8 +8,8 @@ import helpers
 import descent3.cubicforms as cubicforms
 from descent3.arith import _CUBIC_SQUARE_BLOCK, cubic_square_points
 from descent3 import (BinaryCubicForm, HomogeneousSpace, act, disc,
-                      global_search, is_irreducible, make_seed,
-                      monic_representative, search_monic_points)
+                      enumerate_classes, global_search, is_irreducible,
+                      make_seed, monic_representative, search_monic_points)
 from descent3.cubicforms import _sieved_search
 
 ACCEPT = {"cube": helpers.is_cube_value, "unit": lambda v: v == 1}
@@ -91,29 +91,30 @@ def test_unit_hit_from_minus_one_on_row_zero():
 
 
 # forms planted as act(G, N) with G monic and N(x0, y0) = (1, 0), so that
-# F(x0, y0) = 1; the first hit of each is at the cell its comment names,
-# in the radii bound >> i: 1, 2, 4, 8, 16 (bound 16), 1, 2, 5, 10, 20
-# (bound 20) or 1, 3, 6, 13 (bound 13)
+# F(x0, y0) = 1; the first hit of each is at the cell its comment names.
+# A hit whose sieved cell lies on a row y below its max-norm h leaves the
+# rows y + 1 .. h to be sieved before the search may stop; a hit on the
+# row y = h stops it at the next row
 PLANTED = (
-    # |x| = done + 1 = 9 on a row y <= done = 8 of radius 16
+    # |x| = 9 on a row y <= 8, so the rows up to 9 are still sieved
     # (the cube hit (-9, -8) is the mirror of the sieved cell (9, 8))
     ((-1779, -9713, -17675, -10720), 16, "unit", (-9, 5)),
     ((-16047, 53979, -60520, 22616), 16, "cube", (-9, -8)),
-    # y = done + 1 = 9 with |x| <= done, radius 16
+    # the row y = 9 = max-norm, |x| < 9
     ((-22762, 15010, -3296, 241), 16, "unit", (2, 9)),
     ((11719, 31533, 28284, 8457), 16, "cube", (-8, 9)),
-    # |x| = done + 1 = 11 on a row y <= done = 10 of the last radius 20
+    # |x| = 11 on a row y <= 7 of the box of bound 20
     # (the cube hit (-11, -7) is the mirror of the sieved cell (11, 7))
     ((-1394, -15432, -56944, -70039), 20, "unit", (-11, 3)),
     ((2946, -13965, 22066, -11622), 20, "cube", (-11, -7)),
-    # y = done + 1 = 11 with |x| <= done, radius 20
+    # the row y = 11 = max-norm, |x| < 11, bound 20
     ((10926, -14814, 6696, -1009), 20, "unit", (5, 11)),
     ((-29193, -79260, -71731, -21639), 20, "cube", (-10, 11)),
-    # deeper inside the last radius 20 (done = 10): two outer rows
+    # farther out: the row y = 18 = max-norm, and |x| = 18 on the row 11
     ((-24425, 27618, -10397, 1303), 20, "unit", (7, 18)),
     ((434, 1703, 2086, 755), 20, "cube", (-18, 11)),
-    # the odd bound 13 (done = 6): |x| = 7 on the row y = done, and the
-    # outer row y = 13
+    # the odd bound 13: |x| = 7 on the row y = 6, and the last row
+    # y = 13 = bound
     ((917, 3240, 3815, 1497), 13, "unit", (-7, 6)),
     ((-20032, -18443, -5660, -579), 13, "cube", (-4, 13)),
 )
@@ -143,9 +144,9 @@ def _recording(F):
 
 def test_sieve_checks_each_cell_of_the_upper_half_box_once(monkeypatch):
     # a target that allows every residue lets every coprime cell survive,
-    # so the exact checks show the geometry: each radius visits its new
-    # annulus in the rows y >= 0 (its hole skips exactly the cells of the
-    # previous radius), and no cell is visited twice
+    # so the exact checks show the geometry: each row y = 0 .. bound is
+    # sieved once at full width (row 0 from its two coprime cells
+    # x = +-1), and no cell is visited twice
     monkeypatch.setitem(cubicforms._TARGETS, "any",
                         (lambda m: set(range(m)), lambda v: False))
     for bound in range(41):
@@ -158,25 +159,37 @@ def test_sieve_checks_each_cell_of_the_upper_half_box_once(monkeypatch):
 
 def test_sieve_builds_residue_rows_on_demand(classes_4897363, monkeypatch):
     # the four classes that do not represent 1 within 10^3 have small
-    # global points, so each search stops at a small radius and builds one
-    # or two of the m residue rows of a modulus, each once
-    spaces = [HomogeneousSpace(F) for F in classes_4897363
-              if not monic_representative(F, 1000).found]
-    assert len(spaces) == 4
-    residue_row = cubicforms._residue_row
-    built = []
+    # global points, so each search stops after a few rows, builds one or
+    # two of the m residue rows of a modulus, each once, and passes only a
+    # few cells to the exact check.  Row 0 starts from its two coprime
+    # cells x = +-1: sieved at full width, it would pass all 20,001 cells
+    # of row 0 of (27, -19, 27, 8), whose leading coefficient is a cube
+    forms = [F for F in classes_4897363
+             if not monic_representative(F, 1000).found]
+    assert len(forms) == 4
+    residue_row, bit_indices = cubicforms._residue_row, cubicforms.bit_indices
+    built, listed = [], []
 
     def spy(F, m, ok, y):
         built.append((m, y))
         return residue_row(F, m, ok, y)
 
+    def listing(row, lo):
+        for x in bit_indices(row, lo):
+            listed.append(x)
+            yield x
+
     monkeypatch.setattr(cubicforms, "_residue_row", spy)
-    for C in spaces:
+    monkeypatch.setattr(cubicforms, "bit_indices", listing)
+    for F in forms:
         built.clear()
-        assert global_search(C, 10**4) is not None
-        assert built and len(set(built)) == len(built), C.form
+        listed.clear()
+        R, seen = _recording(F)
+        assert global_search(HomogeneousSpace(R), 10**4) is not None
+        assert built and len(set(built)) == len(built), F
         per_modulus = Counter(m for m, _ in built)
-        assert max(per_modulus.values()) <= 2, (C.form, per_modulus)
+        assert max(per_modulus.values()) <= 2, (F, per_modulus)
+        assert len(listed) <= 16 and len(seen) <= 16, (F, listed, seen)
 
 
 def test_sieve_finds_no_cube_on_classes_of_48035713():
@@ -224,9 +237,45 @@ def test_sieve_exact_on_huge_coefficients():
                     == helpers.naive_first_point(F, bound, accept))
 
 
+def test_sieve_matches_radius_search_on_random_forms():
+    # the one-pass row walk returns what the radius search did, on both
+    # targets, at bounds that are and are not powers of 2, and at 0
+    rng = random.Random(2718)
+    checked = hits = 0
+    while checked < 6400:
+        F = BinaryCubicForm(*(rng.randint(-30, 30) for _ in range(4)))
+        if not any(F.coeffs()) or disc(F) == 0 or not is_irreducible(F):
+            continue
+        for G in (F, -F):
+            for bound in (0, 1, 3, 7, 13, 20, 40, 150):
+                for target in ACCEPT:
+                    want = helpers.radius_sieved_search(G, bound, target)
+                    assert _sieved_search(G, bound, target) == want, \
+                        (G, bound, target)
+                    checked += 1
+                    hits += want is not None
+    assert hits >= 1000, hits
+
+
+def test_sieve_matches_radius_search_on_bench_classes(classes_4897363,
+                                                       classes_48035713):
+    # every class of the anchors and the held-out seeds: hits at small and
+    # far max-norms, and 20001^2 misses
+    classes = list(classes_4897363) + list(classes_48035713)
+    for m, n in ((-73, 1), (-46, 1), (-19, 13), (-130, 21), (-196, 39)):
+        classes += enumerate_classes(make_seed(m, n).D)
+    for F in classes:
+        if F.a != 1:
+            assert (_sieved_search(F, 10**4, "cube")
+                    == helpers.radius_sieved_search(F, 10**4, "cube")), F
+        assert (_sieved_search(F, 10**3, "unit")
+                == helpers.radius_sieved_search(F, 10**3, "unit")), F
+
+
 def test_global_search_far_point_pinned():
     # a class of the seed (-196, 39): its first hit (-841, 983) has
-    # max-norm 983 and is found at radius 1250 = 10**4 >> 3 (done = 625)
+    # max-norm 983 and lies on the sieved row y = 983, so the search
+    # sieves the rows 0 .. 983 at full width and stops at the row 984
     C = HomogeneousSpace(BinaryCubicForm(37, -42, 70, -9))
     assert global_search(C, 10**4) == (841, -983, 4886)
 

@@ -12,6 +12,10 @@ classes, including certified violations of the Hasse principle.
 All arithmetic is exact (integers and fractions); nothing is floated.
 """
 
+# report.py writes the version into each provenance, so it is set before
+# the submodules are imported
+__version__ = "0.2.0"
+
 from .arith import factorize, iroot, is_cubic_residue, is_squarefree
 from .cubicforms import (BinaryCubicForm, MonicSearch, QuadraticForm, act,
                          disc, enumerate_classes, equivalent, hessian,
@@ -19,7 +23,7 @@ from .cubicforms import (BinaryCubicForm, MonicSearch, QuadraticForm, act,
                          syzygy_pair)
 from .errors import (DescentError, InconsistencyError, ValidationError)
 from .genus1 import (Genus1Verdict, HomogeneousSpace, LocalWitness,
-                     REAL_PLACE, global_search, hasse_verdict, local_prime_set,
+                     global_search, hasse_verdict, local_prime_set,
                      locally_solvable)
 from .mordell import (CurvePoint, MordellCurve, add, in_lambda_image,
                       lambda_dual, lambda_map, lambda_preimage, mul_scalar,
@@ -33,4 +37,3 @@ from .report import (AnalysisReport, ClassGroup, build_report,
 from .seeds import DiscriminantSeed, disc_value, honda_divisible_by_3, make_seed, scan
 
 __all__ = [n for n in dir() if not n.startswith("_")]
-__version__ = "0.1.0"

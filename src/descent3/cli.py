@@ -14,6 +14,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from . import __version__
 from .arith import iroot
 from .cubicforms import enumerate_classes, monic_representative
 from .errors import (FactorizationBudgetExceeded, InconsistencyError,
@@ -25,7 +26,7 @@ from .seeds import make_seed, scan as seed_scan
 from . import tables
 
 
-_VERDICT_OPTIONS = {"--bound-rep", "--bound-global", "--primes-max", "--effort"}
+_VERDICT_OPTIONS = {"--bound-rep", "--bound-global", "--effort"}
 _REPORT_OPTIONS = _VERDICT_OPTIONS | {"--format", "--bound-monic", "--cache"}
 
 
@@ -43,8 +44,6 @@ def _add_options(p: argparse.ArgumentParser, flags):
         help="projective cube-point search radius (default 1e4)")
     opt("--bound-rep", dest="rep_bound", type=int, default=10**3,
         help="search radius for a class to represent 1 (default 1e3)")
-    opt("--primes-max", type=int, default=100,
-        help="test local solvability at all p up to this bound")
     opt("--effort", type=int, default=24,
         help="recursion budget for p-adic searches")
     opt("--cache", default=None,
@@ -82,12 +81,12 @@ def _seed_from_args(args):
 
 # --- cache ---
 #
-# A record is keyed on D and on the settings its provenance names, so a
-# report made under other bounds (or without Hasse verdicts) is a miss and
-# is recomputed, never replayed as if it answered this run.
+# A record is keyed on D, on the package version and on the settings its
+# provenance names, so a report made by other code, under other bounds or
+# without Hasse verdicts is a miss and is recomputed, never replayed as if
+# it answered this run.
 
-_SETTINGS = ("rep_bound", "point_bound", "global_bound", "primes_max",
-             "effort")
+_SETTINGS = ("rep_bound", "point_bound", "global_bound", "effort")
 
 
 def _settings(args) -> dict:
@@ -103,15 +102,17 @@ def _settings(args) -> dict:
 
 
 def _cache_key(D: int, kwargs: dict) -> tuple:
-    """The key of a report on D made by build_report(**kwargs): D and the
-    settings spelled as the report's provenance spells them."""
-    return (D, *(str(kwargs[k]) for k in _SETTINGS),
+    """The key of a report on D made by build_report(**kwargs): D, the
+    version and the settings spelled as the report's provenance spells
+    them."""
+    return (D, __version__, *(str(kwargs[k]) for k in _SETTINGS),
             "computed" if kwargs["run_hasse"] else "skipped")
 
 
 def _record_key(record: dict) -> tuple:
     prov = record["provenance"]
-    return (int(record["seed"]["disc"]), *(prov[k] for k in _SETTINGS),
+    return (int(record["seed"]["disc"]), prov.get("version"),
+            *(prov[k] for k in _SETTINGS),
             prov["hasse"])
 
 
@@ -292,8 +293,7 @@ def cmd_hasse(args) -> int:
     seed = _seed_from_args(args)
     for F in enumerate_classes(seed.D):
         C = HomogeneousSpace(F, seed)
-        v = hasse_verdict(C, monic_representative(F, rep_bound), **kwargs,
-                          enumerated=True)
+        v = hasse_verdict(C, monic_representative(F, rep_bound), **kwargs)
         print(f"{C}: {v}" + (f"  [{v.notes}]" if v.notes else ""))
     return 0
 

@@ -24,13 +24,17 @@ half-plane y >= 0 is sieved: G(-x, -y) = -G(x, y) is a cube exactly when
 G(x, y) is, so each sieved hit (x, y) also stands for its mirror
 (-x, -y) below.  No float enters the search.
 
-Local solvability is decided through the charts (1 : t) and (pt : 1) of
-P^1(Z_p): C has a Q_p-point iff one of the chart polynomials takes a cube
-value on Z_p (z = 0 points included, cube 0).  The chart recursion scans
-unit values, strips p-powers, and branches only at roots mod p, so it is
-O(depth) even when p has fifty digits; No is returned only when every
-branch is exhausted (sound), Unknown when the effort budget runs out.  A
-find comes back as (t, level, z, note) in its chart's parameter, and
+Local solvability needs a test only at p = 3 and the primes of D =
+disc(G).  At any other p the reduction of C is a smooth plane cubic over
+F_p, which has a point by Hasse-Weil (#C(F_p) >= p + 1 - 2 sqrt(p) > 0),
+and Hensel lifts it to Q_p; over R every value of G has a real cube root.
+It is decided through the charts (1 : t) and (pt : 1) of P^1(Z_p): C has
+a Q_p-point iff one of the chart polynomials takes a cube value on Z_p
+(z = 0 points included, cube 0).  The chart recursion scans unit values,
+strips p-powers, and branches only at roots mod p, so it is O(depth) even
+when p has fifty digits; No is returned only when every branch is
+exhausted (sound), Unknown when the effort budget runs out.  A find comes
+back as (t, level, z, note) in its chart's parameter, and
 locally_solvable builds and checks the witness from it in one place.
 """
 
@@ -41,10 +45,8 @@ import sympy
 
 from .arith import cube_root_exact, factorize
 from .cubicforms import BinaryCubicForm, MonicSearch, _sieved_search, disc
-from .errors import BadPrime, DiscriminantMismatch
+from .errors import BadPrime, DiscriminantMismatch, InconsistencyError
 from .seeds import DiscriminantSeed
-
-REAL_PLACE = "real"
 
 
 @dataclass(frozen=True)
@@ -63,27 +65,22 @@ class HomogeneousSpace:
 
 @dataclass(frozen=True)
 class LocalWitness:
-    place: object                 # prime or REAL_PLACE
+    place: int                    # the prime p
     level: int                    # claimed precision p^level
-    triple: tuple                 # (x, y, z); for the real place z holds G(x,y)
+    triple: tuple                 # (x, y, z)
     note: str = ""
 
     def verify(self, F: BinaryCubicForm) -> bool:
-        """Substituting the witness reproduces 0 modulo the claimed power
-        (real place: the recorded value is correct and nonzero, so a real
-        cube root exists)."""
+        """Substituting the witness reproduces 0 modulo the claimed power."""
         x, y, z = self.triple
-        if self.place == REAL_PLACE:
-            return F(x, y) == z and z != 0
         return (F(x, y) - z**3) % self.place**self.level == 0
 
 
 @dataclass(frozen=True)
 class Genus1Verdict:
-    kind: str       # has_global_point | locally_insolvable | violation_candidate | certified_violation
+    kind: str       # has_global_point | violation_candidate | certified_violation
     space: HomogeneousSpace
     point: tuple | None = None
-    bad_prime: int | None = None
     primes_checked: tuple = ()
     search_bound: int = 0
     monic_bound: int = 0
@@ -93,8 +90,6 @@ class Genus1Verdict:
         if self.kind == "has_global_point":
             x, y, z = self.point
             return f"HasGlobalPoint(({x} : {y} : {z}))"
-        if self.kind == "locally_insolvable":
-            return f"LocallyInsolvable(p = {self.bad_prime})"
         if self.kind == "certified_violation":
             return "CertifiedViolation"
         return "ViolationCandidate"
@@ -295,19 +290,12 @@ def _chart_search(coeffs, p: int, vshift: int, depth: int, effort: int):
 
 
 def locally_solvable(C: HomogeneousSpace, p, effort: int = 24):
-    """Tri-state local test at p (or at REAL_PLACE).
+    """Tri-state local test at the prime p.
 
     Returns ('yes', LocalWitness) | ('no', None) | ('unknown', None).
     'no' is exhaustive: every residue branch of P^1(Z_p) was ruled out.
     """
     F = C.form
-    if p == REAL_PLACE:
-        # odd degree in x: G(x, 1) takes a nonzero value, cube root real
-        for x in range(0, 5):
-            if F(x, 1) != 0:
-                return ("yes", LocalWitness(REAL_PLACE, 0, (x, 1, F(x, 1)),
-                                            note="real cube root"))
-        raise AssertionError("cubic vanished at five points")
     if not sympy.isprime(p):
         raise BadPrime(f"{p} is not prime")
 
@@ -333,28 +321,28 @@ def locally_solvable(C: HomogeneousSpace, p, effort: int = 24):
 
 # --- verdict assembly ---
 
-def local_prime_set(F: BinaryCubicForm, primes_max: int = 100) -> list[int]:
-    """All p <= primes_max plus the primes dividing 3*disc(F)."""
-    ps = set(sympy.primerange(2, primes_max + 1))
-    ps.update(factorize(3 * abs(disc(F))).keys())
-    return sorted(ps)
+def local_prime_set(F: BinaryCubicForm) -> list[int]:
+    """The primes of 3*disc(F), the only places where F(x, y) = z^3 can
+    fail to be locally solvable (see the module docstring)."""
+    return sorted(factorize(3 * disc(F)))
 
 
 def hasse_verdict(C: HomogeneousSpace, monic: MonicSearch, *,
-                  global_bound: int = 10**4, primes_max: int = 100,
-                  effort: int = 24, enumerated: bool = False) -> Genus1Verdict:
-    """Classify C per the monic/non-monic dichotomy.
+                  global_bound: int = 10**4,
+                  effort: int = 24) -> Genus1Verdict:
+    """Classify the class C of a family discriminant per the monic/non-monic
+    dichotomy.
 
     `monic` is the caller's monic_representative(C.form, bound); the
     verdict records its bound as monic_bound and searches nothing itself
     for a representation of 1.  A class that represents 1 gets the
     constructive point (p : q : 1) from the first column of the matrix.
-    For the rest: a local failure is decisive (LocallyInsolvable);
-    all-local success plus an empty global search gives CertifiedViolation
-    when the class is known to come from the full enumeration for its
-    discriminant (the certificate is conditional on the monic dichotomy,
-    which fails for some D, and the local evidence is recorded), else
-    ViolationCandidate.
+    The rest are Selmer elements, so everywhere locally solvable: the
+    local tests run at the primes of local_prime_set, and a 'no' there
+    raises InconsistencyError.  A global point within global_bound gives
+    HasGlobalPoint.  Otherwise an 'unknown' local test gives
+    ViolationCandidate, and all-'yes' gives CertifiedViolation, which is
+    conditional on the monic dichotomy (which fails for some D).
     """
     F = C.form
     rep_bound = monic.bound
@@ -366,37 +354,37 @@ def hasse_verdict(C: HomogeneousSpace, monic: MonicSearch, *,
                              monic_bound=rep_bound,
                              notes="constructive: class represents 1")
 
-    primes = local_prime_set(F, primes_max)
+    primes = tuple(local_prime_set(F))
     unknowns = []
-    for p in [REAL_PLACE] + primes:
+    for p in primes:
         status, _w = locally_solvable(C, p, effort)
         if status == "no":
-            return Genus1Verdict("locally_insolvable", C, bad_prime=p,
-                                 primes_checked=tuple(primes))
+            raise InconsistencyError(
+                f"{C} has no point over Q_{p}, but the classes of "
+                f"discriminant {disc(F)} are everywhere locally solvable")
         if status == "unknown":
             unknowns.append(p)
 
     g = global_search(C, global_bound)
     if g is not None:
-        # for an enumerated class a global point forces the class to be
-        # monic-representable somewhere past rep_bound (the dichotomy);
-        # record that rather than treating the bounded miss as an error
-        note = ("global point found; the class must represent 1 beyond "
-                f"the monic search bound {rep_bound}" if enumerated else "")
+        # a global point forces the class to be monic-representable
+        # somewhere past rep_bound (the dichotomy); record that rather
+        # than treating the bounded miss as an error
         return Genus1Verdict("has_global_point", C, point=g,
                              search_bound=global_bound, monic_bound=rep_bound,
-                             primes_checked=tuple(primes), notes=note)
+                             primes_checked=primes,
+                             notes="global point found; the class must "
+                             "represent 1 beyond the monic search bound "
+                             f"{rep_bound}")
 
     if unknowns:
-        return Genus1Verdict("violation_candidate", C,
-                             primes_checked=tuple(primes),
+        return Genus1Verdict("violation_candidate", C, primes_checked=primes,
                              search_bound=global_bound, monic_bound=rep_bound,
                              notes=f"local tests unknown at {unknowns}")
-    kind = "certified_violation" if enumerated else "violation_candidate"
-    note = ("no monic representative within bound; locally solvable at all "
-            "tested places; no global point within bound"
-            + ("; certificate conditional on the monic-dichotomy theorem"
-               if enumerated else ""))
-    return Genus1Verdict(kind, C, primes_checked=tuple(primes),
-                         search_bound=global_bound, monic_bound=rep_bound,
-                         notes=note)
+    return Genus1Verdict(
+        "certified_violation", C, primes_checked=primes,
+        search_bound=global_bound, monic_bound=rep_bound,
+        notes="no monic representative within bound; everywhere locally "
+        "solvable (tested at 3 and the primes of D; elsewhere by "
+        "Hasse-Weil and Hensel); no global point within bound; "
+        "certificate conditional on the monic-dichotomy theorem")

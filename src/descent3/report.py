@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import __version__
 from .arith import factorize, is_squarefree, xgcd
 from .cubicforms import (BinaryCubicForm, enumerate_classes,
                          monic_representative, rank_of_class_count,
@@ -283,8 +284,7 @@ class AnalysisReport:
 
 def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
                  point_bound: int = 10**5, global_bound: int = 10**4,
-                 primes_max: int = 100, effort: int = 24,
-                 run_hasse: bool = True) -> AnalysisReport:
+                 effort: int = 24, run_hasse: bool = True) -> AnalysisReport:
     """Run the full pipeline for one seed.
 
     For D < 0 with |D| <= 10^7 the class group oracle also runs; it is the
@@ -346,15 +346,14 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
     if run_hasse:
         for F, rep in zip(classes, reps):
             C = HomogeneousSpace(F, seed)
-            hasse.append(hasse_verdict(
-                C, rep, global_bound=global_bound, primes_max=primes_max,
-                effort=effort, enumerated=True))
+            hasse.append(hasse_verdict(C, rep, global_bound=global_bound,
+                                       effort=effort))
 
     provenance = {
+        "version": __version__,
         "rep_bound": str(rep_bound),
         "point_bound": str(point_bound),
         "global_bound": str(global_bound),
-        "primes_max": str(primes_max),
         "effort": str(effort),
         "class_group": oracle_note,
         "monic_search": "bounded; r3(monic) and Sha[lambda] rank are "
@@ -388,7 +387,7 @@ def _verdict_obj(v: Genus1Verdict):
         "form": [str(c) for c in v.space.form.coeffs()],
         "kind": v.kind,
         "point": [str(c) for c in v.point] if v.point else None,
-        "bad_prime": str(v.bad_prime) if v.bad_prime is not None else None,
+        "bad_prime": None,
         "primes_checked": [str(p) for p in v.primes_checked],
         "search_bound": str(v.search_bound),
         "monic_bound": str(v.monic_bound),
@@ -439,7 +438,6 @@ def report_from_json(text: str) -> AnalysisReport:
             kind=h["kind"],
             space=HomogeneousSpace(F, seed),
             point=tuple(int(c) for c in h["point"]) if h["point"] else None,
-            bad_prime=int(h["bad_prime"]) if h["bad_prime"] is not None else None,
             primes_checked=tuple(int(p) for p in h["primes_checked"]),
             search_bound=int(h["search_bound"]),
             monic_bound=int(h["monic_bound"]),
@@ -474,7 +472,7 @@ def report_to_csv(rep: AnalysisReport) -> str:
     kinds = [v.kind for v in rep.hasse]
     summary = "/".join(f"{kinds.count(k)}{tag}" for k, tag in (
         ("has_global_point", "pt"), ("certified_violation", "viol"),
-        ("violation_candidate", "cand"), ("locally_insolvable", "loc")))
+        ("violation_candidate", "cand")))
     found = sum(1 for f in rep.monic_flags if f in ("already_monic", "found"))
     row = (rep.seed.m, rep.seed.n, rep.seed.D, rep.r3, len(rep.classes),
            found, rep.r3_monic_lb, rep.selmer_lambda, rep.selmer_lambda_dual,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from descent3 import __version__
 from descent3.cli import main, _parse_filter, _parse_range, _recover_seed
 from descent3.errors import ValidationError
 
@@ -67,9 +68,8 @@ def _seed_args(cmd):
 
 # the numeric options each subcommand reads; it rejects the others
 _READS = {"analyze": {"--bound-monic", "--bound-global", "--bound-rep",
-                      "--primes-max", "--effort"},
-          "hasse": {"--bound-global", "--bound-rep", "--primes-max",
-                    "--effort"},
+                      "--effort"},
+          "hasse": {"--bound-global", "--bound-rep", "--effort"},
           "forms": {"--bound-rep"}}
 _READS["scan"] = _READS["analyze"] | {"--jobs"}
 
@@ -88,7 +88,8 @@ def test_nonpositive_setting_exits_2(cmd, flag, capsys):
 
 
 @pytest.mark.parametrize("cmd, flag, value", [
-    ("analyze", "--jobs", "2"),
+    ("analyze", "--jobs", "2"), ("analyze", "--primes-max", "5"),
+    ("hasse", "--primes-max", "5"), ("scan", "--primes-max", "5"),
     ("hasse", "--format", "json"), ("hasse", "--bound-monic", "5"),
     ("hasse", "--cache", "CACHE"), ("hasse", "--jobs", "2"),
     ("forms", "--format", "json"), ("forms", "--bound-monic", "5"),
@@ -243,6 +244,20 @@ def test_cache_misses_a_report_made_under_other_settings(tmp_path, capsys):
     assert "cache hit D = -23" in err
     assert json.loads(out)["provenance"] == prov
     assert len(cache.read_text().splitlines()) == 2
+
+    # a record made by another version of the package is a miss, and so is
+    # one whose provenance names no version
+    assert prov["version"] == __version__
+    other = json.loads(cache.read_text().splitlines()[-1])
+    other["provenance"]["version"] = "0.1.0"
+    unversioned = json.loads(cache.read_text().splitlines()[-1])
+    del unversioned["provenance"]["version"]
+    cache.write_text(json.dumps(other) + "\n" + json.dumps(unversioned) + "\n")
+    assert main([*base, "--bound-monic", "7"]) == 0
+    out, err = capsys.readouterr()
+    assert "cache hit" not in err and "skipping" not in err
+    assert json.loads(out)["provenance"] == prov
+    assert len(cache.read_text().splitlines()) == 3    # recomputed, appended
 
 
 def test_factorization_budget_exit_4(monkeypatch, capsys):

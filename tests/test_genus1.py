@@ -5,11 +5,14 @@ import random
 import pytest
 
 import helpers
-from descent3 import (BinaryCubicForm, HomogeneousSpace, REAL_PLACE, act,
+import descent3.genus1 as g1
+from descent3 import (BinaryCubicForm, HomogeneousSpace, act, build_report,
                       disc, enumerate_classes, global_search, hasse_verdict,
                       local_prime_set, locally_solvable, make_seed,
-                      monic_representative, reduce)
-from descent3.errors import DiscriminantMismatch
+                      monic_representative, reduce, scan)
+from descent3.arith import factorize
+from descent3.cli import main
+from descent3.errors import DiscriminantMismatch, InconsistencyError
 
 # frozen by the chart oracle: (coefficients, insolvable prime, level where
 # the exhaustive residue scan dies)
@@ -115,17 +118,6 @@ def test_unit_sweep_at_3_finds_deep_cubes():
     assert witness.verify(F)
 
 
-def test_real_place_always_solvable():
-    rng = random.Random(403)
-    for _ in range(40):
-        F = BinaryCubicForm(*(rng.randint(-9, 9) for _ in range(4)))
-        if disc(F) == 0:
-            continue
-        status, witness = locally_solvable(HomogeneousSpace(F), REAL_PLACE)
-        assert status == "yes"
-        assert witness.verify(F)
-
-
 def test_large_prime_fast_path():
     F = reduce(BinaryCubicForm(1, 0, -1, 1))
     p = 10**12 + 39                 # prime, far beyond the exhaustive range
@@ -134,11 +126,30 @@ def test_large_prime_fast_path():
     assert witness.verify(F)
 
 
-def test_local_prime_set_covers_disc_and_small():
+def test_local_prime_set_is_the_primes_of_3_disc():
     F = reduce(BinaryCubicForm(1, 0, -1, 1))     # disc -23
-    ps = local_prime_set(F, primes_max=50)
-    assert 2 in ps and 3 in ps and 23 in ps
-    assert all(p <= 50 or 23 % p == 0 or p == 23 for p in ps)
+    assert local_prime_set(F) == [3, 23]
+    F = BinaryCubicForm(2, -41, -45, 134)        # disc 48035713
+    assert local_prime_set(F) == [3, 11, 79, 167, 331]
+
+
+def test_solvable_off_3d_by_hasse_weil_and_hensel():
+    # at p not dividing 3D the curve reduces to a smooth plane cubic over
+    # F_p, which has a point (Hasse-Weil) that Hensel lifts; this is why
+    # hasse_verdict tests only local_prime_set
+    seeds = list(scan(range(-30, 31), range(1, 12)))
+    assert len(seeds) == 203
+    small = helpers.primes_upto(200)
+    calls = 0
+    for F in (F for seed in seeds for F in enumerate_classes(seed.D)):
+        tested = local_prime_set(F)
+        assert tested == sorted(factorize(3 * disc(F)))
+        for p in small:
+            if p not in tested:
+                calls += 1
+                assert locally_solvable(HomogeneousSpace(F), p)[0] == "yes", \
+                    (F.coeffs(), p)
+    assert calls == 10_460
 
 
 def test_global_search_finds_unit_values():
@@ -163,21 +174,41 @@ def test_hasse_verdict_certified_violation(classes_48035713):
     seed = make_seed(229, 3)
     F = classes_48035713[1]
     v = hasse_verdict(HomogeneousSpace(F, seed),
-                      monic_representative(F, 1000), enumerated=True)
+                      monic_representative(F, 1000))
     assert v.kind == "certified_violation"
     assert v.point is None
-    assert len(v.primes_checked) >= 25
-    assert 2 in v.primes_checked and 3 in v.primes_checked
+    assert v.primes_checked == (3, 11, 79, 167, 331)
+    assert "everywhere locally solvable" in v.notes
     assert str(v) == "CertifiedViolation"
 
 
-def test_hasse_verdict_candidate_when_not_enumerated(classes_48035713):
-    seed = make_seed(229, 3)
+def _answer_at(p_bad, answer, monkeypatch):
+    """Make locally_solvable answer `answer` at p_bad and 'yes' elsewhere."""
+    real = g1.locally_solvable
+
+    def fake(C, p, effort=24):
+        return (answer, None) if p == p_bad else real(C, p, effort)
+
+    monkeypatch.setattr(g1, "locally_solvable", fake)
+
+
+def test_hasse_verdict_candidate_when_a_local_test_is_unknown(
+        classes_48035713, monkeypatch):
     F = classes_48035713[2]
-    v = hasse_verdict(HomogeneousSpace(F, seed),
-                      monic_representative(F, 1000), enumerated=False,
-                      global_bound=300)
+    _answer_at(79, "unknown", monkeypatch)
+    v = hasse_verdict(HomogeneousSpace(F, make_seed(229, 3)),
+                      monic_representative(F, 1000), global_bound=300)
     assert v.kind == "violation_candidate"
+    assert v.notes == "local tests unknown at [79]"
+    assert str(v) == "ViolationCandidate"
+
+
+def test_local_no_on_a_family_class_is_an_inconsistency(monkeypatch, capsys):
+    _answer_at(167, "no", monkeypatch)
+    with pytest.raises(InconsistencyError, match=r"\[2,-41,-45,134\].*Q_167"):
+        build_report(make_seed(229, 3), global_bound=300)
+    assert main(["hasse", "--m", "229", "--n", "3"]) == 3
+    assert "Q_167" in capsys.readouterr().err
 
 
 def test_hasse_verdict_reuses_a_given_monic_search(classes_4897363,
@@ -199,7 +230,7 @@ def test_hasse_verdict_reuses_a_given_monic_search(classes_4897363,
     monkeypatch.setattr(cf, "_sieved_search", spy)
     monkeypatch.setattr(g1, "_sieved_search", spy)
     monkeypatch.setattr(cf, "monic_representative", None)
-    v = hasse_verdict(C, rep, enumerated=True)
+    v = hasse_verdict(C, rep)
     assert targets == ["cube"]
     assert v.point == (1, 1, 2)
     assert v.monic_bound == 1000 and v.search_bound == 10**4

@@ -190,7 +190,7 @@ def test_report_csv_shape():
     assert len(header.split(",")) == len(row.split(","))
     cells = row.split(",")
     assert cells[0:3] == ["1", "1", "-23"]
-    assert cells[-1] == "1pt/0viol/0cand/0loc"
+    assert cells[-1] == "1pt/0viol/0cand"
 
 
 def test_build_report_rich_negative_end_to_end():

@@ -23,8 +23,7 @@ from .cubicforms import (BinaryCubicForm, MonicSearch, QuadraticForm, act,
                          syzygy_pair)
 from .errors import (DescentError, InconsistencyError, ValidationError)
 from .genus1 import (Genus1Verdict, HomogeneousSpace, LocalWitness,
-                     global_search, hasse_verdict, local_prime_set,
-                     locally_solvable)
+                     global_search, hasse_verdict, locally_solvable)
 from .mordell import (CurvePoint, MordellCurve, add, in_lambda_image,
                       lambda_dual, lambda_map, lambda_preimage, mul_scalar,
                       psi, psi_prime, search_monic_points, span_dim_mod_3,

@@ -26,7 +26,7 @@ from .seeds import make_seed, scan as seed_scan
 from . import tables
 
 
-_VERDICT_OPTIONS = {"--bound-rep", "--bound-global", "--effort"}
+_VERDICT_OPTIONS = {"--bound-rep", "--bound-global"}
 _REPORT_OPTIONS = _VERDICT_OPTIONS | {"--format", "--bound-monic", "--cache"}
 
 
@@ -44,8 +44,6 @@ def _add_options(p: argparse.ArgumentParser, flags):
         help="projective cube-point search radius (default 1e4)")
     opt("--bound-rep", dest="rep_bound", type=int, default=10**3,
         help="search radius for a class to represent 1 (default 1e3)")
-    opt("--effort", type=int, default=24,
-        help="recursion budget for p-adic searches")
     opt("--cache", default=None,
         help="append-only NDJSON result cache (last record wins)")
     opt("--jobs", type=int, default=1, help="parallel workers")
@@ -86,7 +84,7 @@ def _seed_from_args(args):
 # without Hasse verdicts is a miss and is recomputed, never replayed as if
 # it answered this run.
 
-_SETTINGS = ("rep_bound", "point_bound", "global_bound", "effort")
+_SETTINGS = ("rep_bound", "point_bound", "global_bound")
 
 
 def _settings(args) -> dict:

@@ -284,7 +284,7 @@ class AnalysisReport:
 
 def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
                  point_bound: int = 10**5, global_bound: int = 10**4,
-                 effort: int = 24, run_hasse: bool = True) -> AnalysisReport:
+                 run_hasse: bool = True) -> AnalysisReport:
     """Run the full pipeline for one seed.
 
     For D < 0 with |D| <= 10^7 the class group oracle also runs; it is the
@@ -346,15 +346,13 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
     if run_hasse:
         for F, rep in zip(classes, reps):
             C = HomogeneousSpace(F, seed)
-            hasse.append(hasse_verdict(C, rep, global_bound=global_bound,
-                                       effort=effort))
+            hasse.append(hasse_verdict(C, rep, global_bound=global_bound))
 
     provenance = {
         "version": __version__,
         "rep_bound": str(rep_bound),
         "point_bound": str(point_bound),
         "global_bound": str(global_bound),
-        "effort": str(effort),
         "class_group": oracle_note,
         "monic_search": "bounded; r3(monic) and Sha[lambda] rank are "
                         "exact only if both monic searches are exhaustive",

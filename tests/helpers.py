@@ -170,6 +170,27 @@ def oracle_local_verdict(F, p: int, budget: int = 20000):
     return "yes", k
 
 
+def smooth_point_mod_p(F, p: int):
+    """A smooth point of F(x, y) = z^3 over F_p, p != 3, as (x, y), or None.
+
+    It is a root of F mod p where the gradient of F does not vanish (so
+    z = 0), or an (x, y) whose value is a nonzero cube mod p, where
+    d(z^3)/dz = 3z^2 is a unit.  Hensel lifts a smooth F_p-point to a
+    Q_p-point, so a hit proves local solvability at p."""
+    assert p != 3
+    a, b, c, d = F.coeffs()
+    cube_exp = (p - 1) // gcd(3, p - 1)
+    for x, y in [(1, t) for t in range(p)] + [(0, 1)]:
+        v = F(x, y) % p
+        if v and pow(v, cube_exp, p) == 1:
+            return (x, y)
+        fx = 3 * a * x * x + 2 * b * x * y + c * y * y
+        fy = b * x * x + 2 * c * x * y + 3 * d * y * y
+        if not v and (fx % p or fy % p):
+            return (x, y)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # point-search oracle: every cell of the box, exact tests, one sort
 

@@ -67,9 +67,8 @@ def _seed_args(cmd):
 
 
 # the numeric options each subcommand reads; it rejects the others
-_READS = {"analyze": {"--bound-monic", "--bound-global", "--bound-rep",
-                      "--effort"},
-          "hasse": {"--bound-global", "--bound-rep", "--effort"},
+_READS = {"analyze": {"--bound-monic", "--bound-global", "--bound-rep"},
+          "hasse": {"--bound-global", "--bound-rep"},
           "forms": {"--bound-rep"}}
 _READS["scan"] = _READS["analyze"] | {"--jobs"}
 
@@ -90,6 +89,8 @@ def test_nonpositive_setting_exits_2(cmd, flag, capsys):
 @pytest.mark.parametrize("cmd, flag, value", [
     ("analyze", "--jobs", "2"), ("analyze", "--primes-max", "5"),
     ("hasse", "--primes-max", "5"), ("scan", "--primes-max", "5"),
+    ("analyze", "--effort", "5"), ("hasse", "--effort", "5"),
+    ("scan", "--effort", "5"),
     ("hasse", "--format", "json"), ("hasse", "--bound-monic", "5"),
     ("hasse", "--cache", "CACHE"), ("hasse", "--jobs", "2"),
     ("forms", "--format", "json"), ("forms", "--bound-monic", "5"),

@@ -3,49 +3,48 @@
 import random
 
 import pytest
+import sympy
 
 import helpers
 import descent3.genus1 as g1
+
 from descent3 import (BinaryCubicForm, HomogeneousSpace, act, build_report,
                       disc, enumerate_classes, global_search, hasse_verdict,
-                      local_prime_set, locally_solvable, make_seed,
-                      monic_representative, reduce, scan)
+                      locally_solvable, make_seed, monic_representative,
+                      reduce, scan)
 from descent3.arith import factorize
 from descent3.cli import main
-from descent3.errors import DiscriminantMismatch, InconsistencyError
+from descent3.errors import (DiscriminantMismatch, InconsistencyError,
+                             ValidationError)
 
-# frozen by the chart oracle: (coefficients, insolvable prime, level where
-# the exhaustive residue scan dies)
+# frozen by the chart oracle: (coefficients, level where the exhaustive
+# residue scan over Z/3^level dies)
 INSOLVABLE = (
-    ((-6, 9, 9, -3), 3, 3),
-    ((2, -4, -6, 6), 2, 2),
-    ((3, 3, -6, 6), 3, 2),
-    ((2, 6, -6, -6), 2, 3),
-    ((2, 6, -6, -6), 3, 2),
-    ((2, 5, 2, 2), 13, 2),
+    ((-6, 9, 9, -3), 3),
+    ((3, 3, -6, 6), 2),
+    ((2, 6, -6, -6), 2),
 )
 
 
-# one witness of each kind, pinned by repr(LocalWitness) so that the chart
-# search and the witness assembly keep every field: (coefficients, p, repr)
+# one witness of each kind at 3, pinned by repr(LocalWitness) so that the
+# chart search and the witness assembly keep every field:
+# (coefficients, repr)
 WITNESS_PINS = (
-    # exact zero of G, reached one level down the residue tree
-    ((4, -20, -21, 15), 2, "LocalWitness(place=2, level=10, triple=(1, 2, 0),"
+    # exact zero of G: G(1, t) = (t - 4)(t^2 + t + 10), whose residues at
+    # t = 0, 2 are non-cube units mod 9, so the zero t = 4 is reached one
+    # level down the residue tree below the root t = 1 mod 3
+    ((-40, 6, -3, 1), "LocalWitness(place=3, level=10, triple=(1, 4, 0),"
      " note='exact zero of G')"),
-    # Hensel z = 0 point: v_2 = 4 of the content-stripped chart value f
-    # passes the Hensel test, and the level is v_2(G(1, 1)) = v_2(-32) = 5
-    ((-2, -12, 8, -26), 2, "LocalWitness(place=2, level=5, triple=(1, 1, 0),"
-     " note='z=0 branch: v(f)=4 > 2*v(df)=0, Hensel; v(G)=5')"),
-    # unit cube at p = 3 below a root mod 3
-    ((25, -24, -24, -2), 3, "LocalWitness(place=3, level=7,"
+    # Hensel z = 0 point: v_3 = 3 of the content-stripped chart value f
+    # passes the Hensel test, and the level is v_3(G(1, 2)) = 4
+    ((-3, -3, 0, -9), "LocalWitness(place=3, level=4, triple=(1, 2, 0),"
+     " note='z=0 branch: v(f)=3 > 2*v(df)=0, Hensel; v(G)=4')"),
+    # unit cube below a root mod 3
+    ((25, -24, -24, -2), "LocalWitness(place=3, level=7,"
      " triple=(1, 11, 30), note='unit cube at level 7; v(G)=3')"),
-    # unit cube at p = 7 = 1 mod 3: G(1, t) = 2(t - 1)^3 + 3*7^3 has no
-    # unit cube value mod 7, so the hit t = 1 + 7*3 is found at depth 1
-    ((1027, 6, -6, 2), 7, "LocalWitness(place=7, level=5,"
-     " triple=(1, 22, 252), note='unit cube at level 5; v(G)=3')"),
-    # the (pt : 1) chart, t = 2
-    ((-50, 0, 0, -8788), 13, "LocalWitness(place=13, level=5,"
-     " triple=(26, 1, 1573), note='unit cube at level 5; v(G)=3')"),
+    # the (3t : 1) chart, t = 0
+    ((-3, -3, 3, 1), "LocalWitness(place=3, level=3, triple=(0, 1, 1),"
+     " note='unit cube at level 3; v(G)=0')"),
 )
 
 
@@ -57,55 +56,58 @@ def test_space_guards_seed_disc():
 
 
 def test_insolvable_fixtures():
-    for coeffs, p, level in INSOLVABLE:
+    for coeffs, level in INSOLVABLE:
         F = BinaryCubicForm(*coeffs)
-        status, witness = locally_solvable(HomogeneousSpace(F), p)
-        assert status == "no", (coeffs, p)
+        status, witness = locally_solvable(HomogeneousSpace(F))
+        assert status == "no", coeffs
         assert witness is None
         # independent confirmation by exhaustive residue scan
-        assert not helpers.chart_solutions_exist(F, p, level), (coeffs, p)
+        assert not helpers.chart_solutions_exist(F, 3, level), coeffs
+
+
+def test_depth_cap_turns_an_exhausted_search_into_unknown(monkeypatch):
+    # (-6, 9, 9, -3) is ruled out one level down the residue tree
+    C = HomogeneousSpace(BinaryCubicForm(-6, 9, 9, -3))
+    monkeypatch.setattr(g1, "_MAX_DEPTH", 0)
+    assert locally_solvable(C) == ("unknown", None)
 
 
 def test_witness_pins():
-    for coeffs, p, want in WITNESS_PINS:
+    for coeffs, want in WITNESS_PINS:
         F = BinaryCubicForm(*coeffs)
-        status, witness = locally_solvable(HomogeneousSpace(F), p)
-        assert status == "yes" and repr(witness) == want, (coeffs, p)
+        status, witness = locally_solvable(HomogeneousSpace(F))
+        assert status == "yes" and repr(witness) == want, coeffs
         assert witness.verify(F)
 
 
 def test_solvable_cases_carry_verified_witnesses():
     rng = random.Random(401)
     seen_yes = 0
-    for _ in range(250):
+    for _ in range(1000):
         F = BinaryCubicForm(*(rng.randint(-9, 9) for _ in range(4)))
         if disc(F) == 0:
             continue
-        C = HomogeneousSpace(F)
-        for p in (2, 3, 5, 7, 13):
-            status, witness = locally_solvable(C, p)
-            if status == "yes":
-                seen_yes += 1
-                assert witness.verify(F), (F.coeffs(), p)
-    assert seen_yes > 800
+        status, witness = locally_solvable(HomogeneousSpace(F))
+        if status == "yes":
+            seen_yes += 1
+            assert witness.verify(F), F.coeffs()
+    assert seen_yes > 900
 
 
 def test_solver_agrees_with_residue_oracle():
     rng = random.Random(402)
     checked = 0
-    for _ in range(160):
+    for _ in range(600):
         F = BinaryCubicForm(*(rng.randint(-9, 9) for _ in range(4)))
         if disc(F) == 0:
             continue
-        C = HomogeneousSpace(F)
-        for p in (2, 3, 5, 7):
-            status, _ = locally_solvable(C, p)
-            oracle, _lvl = helpers.oracle_local_verdict(F, p, budget=2500)
-            checked += 1
-            if status == "no":
-                assert oracle == "no", (F.coeffs(), p)
-            else:
-                assert oracle == "yes", (F.coeffs(), p)
+        status, _ = locally_solvable(HomogeneousSpace(F))
+        oracle, _lvl = helpers.oracle_local_verdict(F, 3, budget=2500)
+        checked += 1
+        if status == "no":
+            assert oracle == "no", F.coeffs()
+        else:
+            assert oracle == "yes", F.coeffs()
     assert checked > 500
 
 
@@ -113,43 +115,43 @@ def test_unit_sweep_at_3_finds_deep_cubes():
     # F(1, -1) = -1 is a cube, but every F(1, t) for t in {0, 1, 2} is a
     # non-cube unit mod 9; the solver must sweep the class t = 2 mod 3
     F = BinaryCubicForm(2, 5, 9, 7)
-    status, witness = locally_solvable(HomogeneousSpace(F), 3)
+    status, witness = locally_solvable(HomogeneousSpace(F))
     assert status == "yes"
     assert witness.verify(F)
 
 
-def test_large_prime_fast_path():
-    F = reduce(BinaryCubicForm(1, 0, -1, 1))
-    p = 10**12 + 39                 # prime, far beyond the exhaustive range
-    status, witness = locally_solvable(HomogeneousSpace(F), p)
-    assert status == "yes"
-    assert witness.verify(F)
-
-
-def test_local_prime_set_is_the_primes_of_3_disc():
-    F = reduce(BinaryCubicForm(1, 0, -1, 1))     # disc -23
-    assert local_prime_set(F) == [3, 23]
-    F = BinaryCubicForm(2, -41, -45, 134)        # disc 48035713
-    assert local_prime_set(F) == [3, 11, 79, 167, 331]
+def _family_classes():
+    seeds = list(scan(range(-30, 31), range(1, 12)))
+    assert len(seeds) == 203
+    return [(seed.D, F) for seed in seeds for F in enumerate_classes(seed.D)]
 
 
 def test_solvable_off_3d_by_hasse_weil_and_hensel():
     # at p not dividing 3D the curve reduces to a smooth plane cubic over
-    # F_p, which has a point (Hasse-Weil) that Hensel lifts; this is why
-    # hasse_verdict tests only local_prime_set
-    seeds = list(scan(range(-30, 31), range(1, 12)))
-    assert len(seeds) == 203
+    # F_p, which has a point (Hasse-Weil) that Hensel lifts; this is one
+    # half of why hasse_verdict tests only Q_3
     small = helpers.primes_upto(200)
     calls = 0
-    for F in (F for seed in seeds for F in enumerate_classes(seed.D)):
-        tested = local_prime_set(F)
-        assert tested == sorted(factorize(3 * disc(F)))
+    for D, F in _family_classes():
         for p in small:
-            if p not in tested:
+            if (3 * D) % p:
                 calls += 1
-                assert locally_solvable(HomogeneousSpace(F), p)[0] == "yes", \
-                    (F.coeffs(), p)
+                assert helpers.smooth_point_mod_p(F, p), (F.coeffs(), p)
     assert calls == 10_460
+
+
+def test_solvable_at_the_primes_of_d_by_a_smooth_point():
+    # at p | D, D squarefree and prime to 6 make F = c L1^2 L2 (mod p), and
+    # the value c t at (1 : t) in coordinates where F = c x^2 y is a unit
+    # cube at t = 1/c; this is the other half.  The helper can fail: 2x^3
+    # mod 7 takes only the non-cubes 2 and 5, and its root is singular
+    assert helpers.smooth_point_mod_p(BinaryCubicForm(2, 7, 7, 7), 7) is None
+    calls = 0
+    for D, F in _family_classes():
+        for p in factorize(D):
+            calls += 1
+            assert helpers.smooth_point_mod_p(F, p), (F.coeffs(), p)
+    assert calls == 403
 
 
 def test_global_search_finds_unit_values():
@@ -177,38 +179,67 @@ def test_hasse_verdict_certified_violation(classes_48035713):
                       monic_representative(F, 1000))
     assert v.kind == "certified_violation"
     assert v.point is None
-    assert v.primes_checked == (3, 11, 79, 167, 331)
+    assert v.primes_checked == (3,)
     assert "everywhere locally solvable" in v.notes
     assert str(v) == "CertifiedViolation"
 
 
-def _answer_at(p_bad, answer, monkeypatch):
-    """Make locally_solvable answer `answer` at p_bad and 'yes' elsewhere."""
-    real = g1.locally_solvable
-
-    def fake(C, p, effort=24):
-        return (answer, None) if p == p_bad else real(C, p, effort)
-
-    monkeypatch.setattr(g1, "locally_solvable", fake)
+def _answer_at_3(answer, monkeypatch):
+    """Make locally_solvable answer `answer` over Q_3."""
+    monkeypatch.setattr(g1, "locally_solvable", lambda C: (answer, None))
 
 
 def test_hasse_verdict_candidate_when_a_local_test_is_unknown(
         classes_48035713, monkeypatch):
     F = classes_48035713[2]
-    _answer_at(79, "unknown", monkeypatch)
+    _answer_at_3("unknown", monkeypatch)
     v = hasse_verdict(HomogeneousSpace(F, make_seed(229, 3)),
                       monic_representative(F, 1000), global_bound=300)
     assert v.kind == "violation_candidate"
-    assert v.notes == "local tests unknown at [79]"
+    assert v.notes == "local test unknown at 3"
     assert str(v) == "ViolationCandidate"
 
 
 def test_local_no_on_a_family_class_is_an_inconsistency(monkeypatch, capsys):
-    _answer_at(167, "no", monkeypatch)
-    with pytest.raises(InconsistencyError, match=r"\[2,-41,-45,134\].*Q_167"):
+    _answer_at_3("no", monkeypatch)
+    with pytest.raises(InconsistencyError, match=r"\[2,-41,-45,134\].*Q_3"):
         build_report(make_seed(229, 3), global_bound=300)
     assert main(["hasse", "--m", "229", "--n", "3"]) == 3
-    assert "Q_167" in capsys.readouterr().err
+    assert "Q_3" in capsys.readouterr().err
+
+
+def test_hasse_verdict_needs_a_seed(classes_48035713):
+    F = classes_48035713[1]
+    with pytest.raises(ValidationError, match="no seed"):
+        hasse_verdict(HomogeneousSpace(F), monic_representative(F, 1000))
+
+
+def test_hasse_verdict_tests_q3_once_per_class_and_factors_nothing(
+        classes_48035713, monkeypatch):
+    import descent3.arith as arith
+    calls = []
+    real = g1.locally_solvable
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    def no_factoring(*_args, **_kwargs):
+        raise AssertionError("hasse_verdict factored a number")
+
+    monkeypatch.setattr(g1, "locally_solvable", spy)
+    monkeypatch.setattr(arith, "factorize", no_factoring)
+    monkeypatch.setattr(sympy, "factorint", no_factoring)
+    seed = make_seed(229, 3)
+    verdicts = [hasse_verdict(HomogeneousSpace(F, seed),
+                              monic_representative(F, 1000),
+                              global_bound=300)
+                for F in classes_48035713]
+    assert [v.kind for v in verdicts] == (["has_global_point"]
+                                          + ["certified_violation"] * 3)
+    # one local test per non-monic class, over Q_3 only
+    assert [C.form for (C,) in calls] == list(classes_48035713[1:])
+    assert all(v.primes_checked == (3,) for v in verdicts[1:])
 
 
 def test_hasse_verdict_reuses_a_given_monic_search(classes_4897363,
@@ -238,23 +269,21 @@ def test_hasse_verdict_reuses_a_given_monic_search(classes_4897363,
 
 def test_local_verdicts_agree_across_gl2_orbits(classes_4897363,
                                                  classes_48035713):
-    # a 'yes' at p for one form of an orbit and a 'no' for another would
-    # be a wrong answer; 'unknown' may differ.  Class representatives of
-    # family discriminants are locally solvable everywhere, so the frozen
-    # insolvable fixtures are added to exercise 'no' as well.
+    # a 'yes' over Q_3 for one form of an orbit and a 'no' for another
+    # would be a wrong answer; 'unknown' may differ.  Class representatives
+    # of family discriminants are locally solvable everywhere, so the
+    # frozen insolvable fixtures are added to exercise 'no' as well.
     rng = random.Random(404)
     reps = list(classes_4897363) + list(classes_48035713)
     for sign in (1, -1):
         for D in helpers.random_family_discs(rng, 60, sign, 7):
             reps.extend(enumerate_classes(D))
-    reps.extend(BinaryCubicForm(*coeffs) for coeffs, _, _ in INSOLVABLE)
+    insolvable = [BinaryCubicForm(*coeffs) for coeffs, _ in INSOLVABLE]
     answers = set()
-    for _ in range(300):
-        R = rng.choice(reps)
+    for R in [rng.choice(reps) for _ in range(300)] + insolvable * 20:
         G = act(R, helpers.random_unimodular(rng))
-        for p in local_prime_set(R):
-            got = {locally_solvable(HomogeneousSpace(R), p)[0],
-                   locally_solvable(HomogeneousSpace(G), p)[0]}
-            assert got != {"yes", "no"}, (R.coeffs(), G.coeffs(), p)
-            answers |= got
+        got = {locally_solvable(HomogeneousSpace(R))[0],
+               locally_solvable(HomogeneousSpace(G))[0]}
+        assert got != {"yes", "no"}, (R.coeffs(), G.coeffs())
+        answers |= got
     assert {"yes", "no"} <= answers

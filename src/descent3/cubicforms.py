@@ -38,7 +38,7 @@ root isolation on a monic cubic, without factoring.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import (bit_indices, cube_root_exact, cubic_square_points,
                     integer_roots_monic_cubic, iroot, is_squarefree,
@@ -369,15 +369,27 @@ class MonicSearch:
 # -F(x, y) does.  The rows y = 0 .. bound are sieved once each, in order,
 # at the full width of the box, and the walk stops once the row index
 # passes the max-norm of the best hit.
+#
+# The cube target is homogeneous: F(s, t) = t^3 F(s/t, 1) mod m for t
+# prime to m, and t^3 is a unit cube, which maps the cube residues onto
+# themselves.  So its residue row for such a t is the row for t = 1 with
+# bit u moved to u*t mod m, and only t = 0 (and t = 3, 6 for m = 9)
+# evaluates F.  Its moduli are also sieved sparsest first, by the share
+# popcount/m of the row for t = 1, as ratpoints sorts its primes, so that
+# rows die after fewer ANDs.  The unit set {1, -1} is not closed under
+# unit cubes (mod 13, 7^3 = 5), and the monic search usually stops
+# within a few rows, so the unit target keeps the fixed order below and
+# evaluates each row it needs.
 
 _SIEVE_MODULI = (9, 7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97)
 
 # target -> (residues mod m of every value or its negative that can pass,
-#            exact test)
+#            exact test, whether the residues are closed under
+#            multiplication by unit cubes)
 _TARGETS = {
     "cube": (lambda m: {t**3 % m for t in range(m)},
-             lambda v: cube_root_exact(v) is not None),
-    "unit": (lambda m: {1, m - 1}, lambda v: v == 1),
+             lambda v: cube_root_exact(v) is not None, True),
+    "unit": (lambda m: {1, m - 1}, lambda v: v == 1, False),
 }
 
 
@@ -388,6 +400,13 @@ def _residue_row(F: BinaryCubicForm, m: int, ok, y: int) -> int:
     by, cy, dy = b * y, c * y * y, d * y**3
     return sum(1 << s for s in range(m)
                if (((a * s + by) * s + cy) * s + dy) % m in ok)
+
+
+def _scaled_row(ones, m: int, t: int) -> int:
+    """The m-bit row with bit u*t mod m set for each u in `ones`: for t
+    prime to m and a target closed under unit cubes, the residue row for
+    y = t from the set bits `ones` of the row for y = 1."""
+    return sum(1 << (u * t % m) for u in ones)
 
 
 def _sieved_search(F: BinaryCubicForm, bound: int, target: str):
@@ -406,12 +425,31 @@ def _sieved_search(F: BinaryCubicForm, bound: int, target: str):
     one y mod m is built the first time a row needs it and kept for the
     whole search.
 
+    For a target closed under unit cubes ('cube'), the residue row for
+    y = 1 of every modulus is evaluated up front; the row for y prime to
+    m is that row with bit u moved to u*y mod m, and only the rows for y
+    sharing a factor with m evaluate F.  The moduli are then sieved in
+    ascending order of popcount/m of their y = 1 rows.  Neither changes
+    which cells survive: a row's survivors are the AND of all its masks,
+    in any order.  The 'unit' target sieves in the order of
+    _SIEVE_MODULI and evaluates every row.
+
     Only the upper half-plane y >= 0 is sieved.  Since F(-x, -y) =
     -F(x, y), every cell with y < 0 is the mirror (-x, -y) of a sieved
     cell, and it is a hit exactly when -F(x, y) meets the target, so each
     cell of the box is still decided once (row 0 twice)."""
-    allowed, accept = _TARGETS[target]
-    sieve = [(m, allowed(m), [None] * m) for m in _SIEVE_MODULI]
+    allowed, accept, scales = _TARGETS[target]
+    sieve = []                          # (m, ok, set bits of row 1, masks)
+    for m in _SIEVE_MODULI:
+        ok = allowed(m)
+        ones = None
+        if scales:
+            one = _residue_row(F, m, ok, 1)
+            ones = [u for u in range(m) if one >> u & 1]
+        sieve.append((m, ok, ones, [None] * m))
+    if scales:                  # sparsest first, len/m compared in integers
+        L = lcm(*_SIEVE_MODULI)
+        sieve.sort(key=lambda e: len(e[2]) * (L // e[0]))
     width = 2 * bound + 1
     full = (1 << width) - 1
     hits = []                                   # (max-norm, x, y)
@@ -419,12 +457,16 @@ def _sieved_search(F: BinaryCubicForm, bound: int, target: str):
         if hits and y > min(hits)[0]:
             break
         row = full if y else full & (5 << bound >> 1)   # bits of x = +-1
-        for m, ok, masks in sieve:
+        for m, ok, ones, masks in sieve:
             t = y % m
-            if masks[t] is None:
-                masks[t] = tile_residues(_residue_row(F, m, ok, t), m,
-                                         -bound, width)
-            row &= masks[t]
+            mask = masks[t]
+            if mask is None:
+                if ones is not None and gcd(t, m) == 1:
+                    pat = _scaled_row(ones, m, t)
+                else:
+                    pat = _residue_row(F, m, ok, t)
+                mask = masks[t] = tile_residues(pat, m, -bound, width)
+            row &= mask
             if not row:
                 break
         else:                                   # the row has survivors

@@ -14,12 +14,16 @@ hasse_verdict takes the class's MonicSearch from its caller.
 The global search is exact.  It shares the residue sieve of cubicforms
 with the monic search: a cell survives only if its value is a cube modulo
 each of 9, 7, 13, ..., 97, and every survivor is confirmed with an integer
-cube root.  The rows y = 0, 1, ..., bound are sieved in one pass, each at
-the full width of the box, and the search stops before the first row
-whose index exceeds the max-norm of the best hit so far.  The returned
-point is the first hit in (max-norm, x, y) order over the whole box,
-because every cell of a later row has a larger max-norm and every cell
-of max-norm up to the hit's lies in a row already sieved.  Only the
+cube root.  The moduli are tried sparsest first for each form, and since
+G(s, t) = t^3 G(s/t, 1) with t^3 a unit cube, the residue row of a row y
+prime to m is the row of y = 1 permuted, so G is evaluated on a few rows
+only; neither changes which cells survive.  The rows y = 0, 1, ..., bound
+are sieved in one pass, each at the full width of the box, and the
+search stops before the first row whose index exceeds the max-norm of
+the best hit so far.  The returned point is the first hit in
+(max-norm, x, y) order over the whole box, because every cell of a later
+row has a larger max-norm and every cell of max-norm up to the hit's
+lies in a row already sieved.  Only the
 half-plane y >= 0 is sieved: G(-x, -y) = -G(x, y) is a cube exactly when
 G(x, y) is, so each sieved hit (x, y) also stands for its mirror
 (-x, -y) below.  No float enters the search.

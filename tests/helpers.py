@@ -214,7 +214,10 @@ def naive_first_point(F, bound: int, accept):
 # It searches the radii bound, bound // 2, ..., 1 in ascending order, each
 # row starting from a hole mask that clears the previous radius, and stops
 # at the first radius with a hit.  It shares the residue rows, masks and
-# targets of cubicforms, so it checks the row order and the stop rule only.
+# targets of cubicforms, so it checks the row order and the stop rule; it
+# evaluates every residue row and ANDs the moduli in the order of
+# _SIEVE_MODULI, so it also checks the scaled rows and the per-form order
+# of the cube target.
 
 def radius_sieved_search(F: BinaryCubicForm, bound: int, target: str):
     """The first coprime (x, y) with |x|, |y| <= bound, in the order
@@ -241,7 +244,7 @@ def radius_sieved_search(F: BinaryCubicForm, bound: int, target: str):
     -F(x, y), every cell with y < 0 is the mirror (-x, -y) of a sieved
     cell, and it is a hit exactly when -F(x, y) meets the target, so each
     cell of the box is still decided once (row 0 twice)."""
-    allowed, accept = _TARGETS[target]
+    allowed, accept, _ = _TARGETS[target]
     oks = [allowed(m) for m in _SIEVE_MODULI]
     rows = [[None] * m for m in _SIEVE_MODULI]
     done = 0

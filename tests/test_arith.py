@@ -5,10 +5,10 @@ import random
 import pytest
 import sympy
 
-from descent3.arith import (cube_root_exact, divisors, factorize,
-                            integer_roots_monic_cubic, iroot, is_cubic_residue,
-                            is_perfect_square, is_squarefree,
-                            squarefree_status)
+from descent3.arith import (_SPARSE_BITS, bit_indices, cube_root_exact,
+                            divisors, factorize, integer_roots_monic_cubic,
+                            iroot, is_cubic_residue, is_perfect_square,
+                            is_squarefree, squarefree_status)
 from descent3.errors import BadPrime
 from helpers import primes_upto, rational_roots
 
@@ -136,3 +136,28 @@ def test_is_cubic_residue_exhaustive():
 def test_is_cubic_residue_rejects_wrong_modulus():
     with pytest.raises(BadPrime):
         is_cubic_residue(2, 5)
+
+
+def test_bit_indices_on_both_sides_of_the_sparse_switch():
+    # popcounts _SPARSE_BITS - 1 and _SPARSE_BITS take the low-bit walk,
+    # _SPARSE_BITS + 1 the bin() walk; each row has bit 0 and its top bit
+    # set, at global-search and block widths and at a width just above k
+    def reference(row, lo):
+        return [lo + i for i, ch in enumerate(bin(row)[:1:-1]) if ch == "1"]
+
+    rng = random.Random(29)
+    checked = 0
+    for k in (_SPARSE_BITS - 1, _SPARSE_BITS, _SPARSE_BITS + 1):
+        for width in (k + 1, 200, 20001, 1 << 16):
+            for _ in range(5):
+                inner = rng.sample(range(1, width - 1), k - 2)
+                row = sum(1 << i for i in inner) | 1 | 1 << (width - 1)
+                assert row.bit_count() == k
+                for lo in (-10000, -1, 0, 1, 37):
+                    got = list(bit_indices(row, lo))
+                    assert got == reference(row, lo), (k, width, lo)
+                    assert got[0] == lo and got[-1] == lo + width - 1
+                    checked += 1
+    assert checked == 300
+    assert list(bit_indices(0, 5)) == []
+    assert list(bit_indices(1, -3)) == [-3]

@@ -148,7 +148,7 @@ def test_sieve_checks_each_cell_of_the_upper_half_box_once(monkeypatch):
     # sieved once at full width (row 0 from its two coprime cells
     # x = +-1), and no cell is visited twice
     monkeypatch.setitem(cubicforms._TARGETS, "any",
-                        (lambda m: set(range(m)), lambda v: False))
+                        (lambda m: set(range(m)), lambda v: False, True))
     for bound in range(41):
         F, seen = _recording(BinaryCubicForm(1, 0, -1, 1))
         assert _sieved_search(F, bound, "any") is None
@@ -190,6 +190,83 @@ def test_sieve_builds_residue_rows_on_demand(classes_4897363, monkeypatch):
         per_modulus = Counter(m for m, _ in built)
         assert max(per_modulus.values()) <= 2, (F, per_modulus)
         assert len(listed) <= 16 and len(seen) <= 16, (F, listed, seen)
+
+
+def _row_bits(row, m):
+    return [u for u in range(m) if row >> u & 1]
+
+
+def test_scaled_rows_match_evaluated_rows_for_the_cube_target(
+        classes_4897363, classes_48035713):
+    # F(s, t) = t^3 F(s/t, 1) and t^3 is a unit cube, so for t prime to m
+    # the cube row for y = t is the row for y = 1 with bit u moved to
+    # u*t mod m
+    allowed, _, scales = cubicforms._TARGETS["cube"]
+    assert scales
+    forms = (_random_forms(random.Random(1618), 40) + list(classes_4897363)
+             + list(classes_48035713))
+    checked = 0
+    for F in forms:
+        for m in cubicforms._SIEVE_MODULI:
+            ok = allowed(m)
+            ones = _row_bits(cubicforms._residue_row(F, m, ok, 1), m)
+            for t in range(1, m):
+                if gcd(t, m) == 1:
+                    assert (cubicforms._scaled_row(ones, m, t)
+                            == cubicforms._residue_row(F, m, ok, t)), \
+                        (F, m, t)
+                    checked += 1
+    assert checked == len(forms) * 522, checked   # the sum of phi(m)
+
+
+def test_scaled_rows_fail_for_the_unit_target():
+    # {1, -1} is not closed under unit cubes mod 19 (2^3 = 8), so the
+    # unit target must evaluate its rows: (2, -41, -45, 134) is +-1 mod 19
+    # at (0, 1) only, but not at (0, 2), where it is 8 * 134
+    allowed, _, scales = cubicforms._TARGETS["unit"]
+    assert not scales
+    F, m = BinaryCubicForm(2, -41, -45, 134), 19
+    ok = allowed(m)
+    ones = _row_bits(cubicforms._residue_row(F, m, ok, 1), m)
+    assert ones == [0]
+    assert cubicforms._scaled_row(ones, m, 2) == 1
+    assert cubicforms._residue_row(F, m, ok, 2) != 1
+
+
+def test_cube_search_evaluates_26_residue_rows(monkeypatch):
+    # a full 10^4 search with no hit needs every row residue of every
+    # modulus.  Only the 12 rows for y = 1, the 12 for y = 0 and the rows
+    # for y = 3, 6 mod 9 evaluate F; the other 510 are scaled from the
+    # row for y = 1.  Evaluating them all took sum(_SIEVE_MODULI) = 536
+    residue_row, built = cubicforms._residue_row, []
+
+    def spy(F, m, ok, y):
+        built.append((m, y))
+        return residue_row(F, m, ok, y)
+
+    monkeypatch.setattr(cubicforms, "_residue_row", spy)
+    assert _sieved_search(BinaryCubicForm(2, -41, -45, 134), 10**4,
+                          "cube") is None
+    assert len(built) <= 26 and len(set(built)) == len(built), built
+    assert set(built) <= ({(m, y) for m in cubicforms._SIEVE_MODULI
+                           for y in (0, 1)} | {(9, 3), (9, 6)}), built
+
+
+def test_sieve_result_does_not_depend_on_the_modulus_order(
+        classes_4897363, classes_48035713, monkeypatch):
+    # a row's survivors are the AND of all its masks, so sieving the
+    # moduli in another order returns the same first hit
+    forms = _random_forms(random.Random(4411), 240)
+    bench = list(classes_4897363) + list(classes_48035713)
+    cases = [(F, i % 31, target) for i, F in enumerate(forms)
+             for target in ACCEPT]
+    cases += [(F, 10**3, target) for F in bench for target in ACCEPT]
+    want = [_sieved_search(F, bound, target) for F, bound, target in cases]
+    assert sum(w is not None for w in want) >= 200
+    monkeypatch.setattr(cubicforms, "_SIEVE_MODULI",
+                        cubicforms._SIEVE_MODULI[::-1])
+    for case, w in zip(cases, want):
+        assert _sieved_search(*case) == w, case
 
 
 def test_sieve_finds_no_cube_on_classes_of_48035713():

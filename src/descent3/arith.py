@@ -320,33 +320,16 @@ def tile_residues(pat: int, m: int, lo: int, width: int) -> int:
     return pat & ((1 << width) - 1)
 
 
-# rows with at most this many set bits are listed by their low bits.  Per
-# row, microseconds for the bin() walk / the low-bit walk, at 8, 12, 16, 20,
-# 24 set bits (min of 9 rounds, Python 3.11, 2 cores): width 20,001 (a
-# global-search row) 24.5/12.3 26.4/20.4 28.7/21.8 25.8/28.5 50.7/55.6,
-# width 2^16 (a cubic_square_points block) 63.8/23.5 67.1/38.8 68.2/47.6
-# 73.8/65.3 74.7/73.8.
-_SPARSE_BITS = 16
-
-
 def bit_indices(row: int, lo: int):
     """lo + i for every set bit i of row, ascending.
 
-    A row with at most _SPARSE_BITS set bits is walked by its lowest set
-    bit, row & -row, which costs a few big-int operations per bit; a
-    denser one is read off bin(row), one string for the whole row."""
-    if row.bit_count() <= _SPARSE_BITS:
-        lo -= 1
-        while row:
-            low = row & -row
-            yield lo + low.bit_length()
-            row ^= low
-        return
-    bits = bin(row)[:1:-1]                   # bit 0 first, '0b' dropped
-    i = bits.find("1")
-    while i != -1:
-        yield lo + i
-        i = bits.find("1", i + 1)
+    The row is walked by its lowest set bit, row & -row, which costs a
+    few big-int operations per set bit; sieved rows keep only a handful."""
+    lo -= 1
+    while row:
+        low = row & -row
+        yield lo + low.bit_length()
+        row ^= low
 
 
 # --- integral points on t^2 = 4s^3 - c ---

@@ -5,9 +5,9 @@ import random
 import pytest
 import sympy
 
-from descent3.arith import (_SPARSE_BITS, bit_indices, cube_root_exact,
-                            divisors, factorize, integer_roots_monic_cubic,
-                            iroot, is_cubic_residue, is_perfect_square,
+from descent3.arith import (bit_indices, cube_root_exact, divisors,
+                            factorize, integer_roots_monic_cubic, iroot,
+                            is_cubic_residue, is_perfect_square,
                             is_squarefree, squarefree_status)
 from descent3.errors import BadPrime
 from helpers import primes_upto, rational_roots
@@ -138,16 +138,15 @@ def test_is_cubic_residue_rejects_wrong_modulus():
         is_cubic_residue(2, 5)
 
 
-def test_bit_indices_on_both_sides_of_the_sparse_switch():
-    # popcounts _SPARSE_BITS - 1 and _SPARSE_BITS take the low-bit walk,
-    # _SPARSE_BITS + 1 the bin() walk; each row has bit 0 and its top bit
-    # set, at global-search and block widths and at a width just above k
+def test_bit_indices_matches_a_bin_walk():
+    # rows of 2 to 40 set bits, each with bit 0 and its top bit set, at
+    # global-search and block widths and at a width just above the count
     def reference(row, lo):
         return [lo + i for i, ch in enumerate(bin(row)[:1:-1]) if ch == "1"]
 
     rng = random.Random(29)
     checked = 0
-    for k in (_SPARSE_BITS - 1, _SPARSE_BITS, _SPARSE_BITS + 1):
+    for k in (2, 3, 8, 16, 17, 40):
         for width in (k + 1, 200, 20001, 1 << 16):
             for _ in range(5):
                 inner = rng.sample(range(1, width - 1), k - 2)
@@ -158,6 +157,6 @@ def test_bit_indices_on_both_sides_of_the_sparse_switch():
                     assert got == reference(row, lo), (k, width, lo)
                     assert got[0] == lo and got[-1] == lo + width - 1
                     checked += 1
-    assert checked == 300
+    assert checked == 600
     assert list(bit_indices(0, 5)) == []
     assert list(bit_indices(1, -3)) == [-3]

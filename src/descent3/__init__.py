@@ -14,7 +14,7 @@ All arithmetic is exact (integers and fractions); nothing is floated.
 
 # report.py writes the version into each provenance, so it is set before
 # the submodules are imported
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .arith import factorize, iroot, is_cubic_residue, is_squarefree
 from .cubicforms import (BinaryCubicForm, MonicSearch, QuadraticForm, act,

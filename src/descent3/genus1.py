@@ -7,7 +7,7 @@ Q_{m/n} = (n:m:n).  A non-monic class may or may not have a rational
 point: the four non-monic classes of D = -4897363 all have small ones,
 while those of D = 48035713 have none in the searched box.  This module
 provides the three ingredients for a verdict: bounded global point
-search, 3-adic solvability, and the assembly with its conditionality
+search, a 3-adic witness, and the assembly with its conditionality
 bookkeeping.  The search for a representation of 1 is not one of them:
 hasse_verdict takes the class's MonicSearch from its caller.
 
@@ -28,20 +28,25 @@ half-plane y >= 0 is sieved: G(-x, -y) = -G(x, y) is a cube exactly when
 G(x, y) is, so each sieved hit (x, y) also stands for its mirror
 (-x, -y) below.  No float enters the search.
 
-Local solvability needs a test only at p = 3.  Over R every value of G
+Local solvability is a theorem at every place.  Over R every value of G
 has a real cube root.  At p not dividing 3D, C reduces to a smooth plane
 cubic over F_p, which has a point by Hasse-Weil (#C(F_p) >= p + 1 -
 2 sqrt(p) > 0), and Hensel lifts it to Q_p.  At p | D the seed makes D
 squarefree and prime to 6, so v_p(D) = 1 and G = c L1^2 L2 (mod p) with
 c a unit and L1, L2 independent.  In coordinates where G = c x^2 y, the
 value at (1 : t) is c t; t = 1/c makes it 1, and Hensel lifts
-(1 : 1/c : 1) because d(z^3)/dz = 3 is a unit.  Over Q_3 the charts
-(1 : t) and (3t : 1) of P^1(Z_3) are searched for a cube value (z = 0
-included); a unit is a cube iff it is +-1 mod 9.  The recursion sweeps
-unit values, strips powers of 3 and branches only at roots mod 3: No
-means every branch was exhausted, Unknown that the depth cap was passed.
-A find comes back as (t, level, z, note) in its chart's parameter, and
-locally_solvable builds and checks the witness from it in one place.
+(1 : 1/c : 1) because d(z^3)/dz = 3 is a unit.
+
+Over Q_3 solvability is a theorem too, whenever 3 does not divide
+disc(F), which holds for every family form (gcd(2m, 3n) = 1 makes 3 prime
+to m, and D = 4m^3 mod 3).  A root of F mod 3 is then simple, so Hensel
+lifts it to a point (x : y : 0).  If F has no root mod 3, then b = c = 0
+(mod 3) is impossible, since it would make F = (ax + dy)^3 (mod 3) and 3
+divide disc(F); so f(t) = F(1, t) has f'(t) = b + 2ct a unit at some t
+in 0..2.  There f(t), f(t + 3), f(t + 6) = f(t) + {0, 3, 6} f'(t)
+(mod 9) run through the three lifts of the unit f(t) mod 3, and one of
+them is +-1 mod 9, a cube in Z_3 because (1 + 3 Z_3)^3 = 1 + 9 Z_3.
+locally_solvable returns the first such witness, so only Q_3 needs one.
 """
 
 from dataclasses import dataclass
@@ -49,8 +54,7 @@ from math import gcd
 
 from .arith import cube_root_exact
 from .cubicforms import BinaryCubicForm, MonicSearch, _sieved_search, disc
-from .errors import (DiscriminantMismatch, InconsistencyError,
-                     ValidationError)
+from .errors import DiscriminantMismatch, ValidationError
 from .seeds import DiscriminantSeed
 
 
@@ -83,7 +87,7 @@ class LocalWitness:
 
 @dataclass(frozen=True)
 class Genus1Verdict:
-    kind: str       # has_global_point | violation_candidate | certified_violation
+    kind: str       # has_global_point | certified_violation
     space: HomogeneousSpace
     point: tuple | None = None
     primes_checked: tuple = ()
@@ -95,9 +99,7 @@ class Genus1Verdict:
         if self.kind == "has_global_point":
             x, y, z = self.point
             return f"HasGlobalPoint(({x} : {y} : {z}))"
-        if self.kind == "certified_violation":
-            return "CertifiedViolation"
-        return "ViolationCandidate"
+        return "CertifiedViolation"
 
 
 # --- global search ---
@@ -133,126 +135,32 @@ def global_search(C: HomogeneousSpace, bound: int):
 
 # --- local solvability at 3 ---
 
-# depth cap of the chart recursion; it guards termination only, since
-# the classes of a family discriminant are decided at depth 0
-_MAX_DEPTH = 24
-
-
-def _v3(n: int) -> int:
-    assert n != 0
-    v = 0
-    while n % 3 == 0:
-        n //= 3
-        v += 1
-    return v
-
-
-def _poly_eval(coeffs, t):
-    # coeffs ascending: A0 + A1 t + A2 t^2 + A3 t^3
-    v = 0
-    for c in reversed(coeffs):
-        v = v * t + c
-    return v
-
-
-def _poly_shift_scale(coeffs, t0: int):
-    """f(t0 + 3*s) as a polynomial in s (degree 3, ascending coeffs)."""
-    A0, A1, A2, A3 = coeffs
-    B0 = _poly_eval(coeffs, t0)
-    B1 = (A1 + 2 * A2 * t0 + 3 * A3 * t0 * t0) * 3
-    B2 = (A2 + 3 * A3 * t0) * 9
-    B3 = A3 * 27
-    return (B0, B1, B2, B3)
-
-
-def _unit_cube(u: int, vshift: int):
-    """(level, z, note) for the value 3^vshift * u, u = +-1 (mod 9) a unit
-    cube and 3 | vshift: z^3 matches the value modulo 3^level.
-
-    The cube root r of u is lifted mod 3^(w+3) by Hensel digit steps; the
-    derivative 3r^2 has valuation 1, so a digit at 3^j controls the cube
-    one level higher (hence the offset), and r^2 = 1 (mod 3) makes the
-    digit -rem mod 3."""
-    w = vshift // 3
-    r = next(t for t in (1, 2, 4, 5, 7, 8) if (t**3 - u) % 27 == 0)
-    for j in range(2, w + 2):               # r^3 = u mod 3^(j+1)
-        rem = (r**3 - u) // 3**(j + 1)
-        r += (-rem % 3) * 3**j
-    K = 4 * w + 3
-    return K, 3**w * r % 3**K, f"unit cube at level {K}; v(G)={3*w}"
-
-
-def _chart_search(coeffs, vshift: int, depth: int):
-    """Find t in Z_3 making 3^vshift * f(t) a cube in Q_3.  Returns
-    (t, level, z, note) with 3^vshift * f(t) = z^3 mod 3^level, None when
-    there is no such t, or "unknown" when a branch passed the depth cap."""
-    if depth > _MAX_DEPTH:
-        return "unknown"
-    # strip content
-    v0 = min(_v3(c) for c in coeffs if c)
-    if v0:
-        coeffs = tuple(c // 3**v0 for c in coeffs)
-        vshift += v0
-
-    want_units = vshift % 3 == 0
-    for t in range(3):
-        val = _poly_eval(coeffs, t)
-        if val == 0:
-            # exact rational zero of G: a z = 0 point (reducible form)
-            return (t, 10, 0, "exact zero of G")
-        if val % 3 and want_units:
-            # cube-ness of a unit is decided mod 9, and f(t + 3s) runs
-            # through all three residues of val's class mod 3 when f'(t) is
-            # a unit, so the whole class must be swept before giving up
-            for s in (0, 1, 2):
-                v2 = _poly_eval(coeffs, t + 3 * s)
-                if v2 % 3 and v2 % 9 in (1, 8):
-                    return (t + 3 * s, *_unit_cube(v2, vshift))
-    # remaining candidates sit over roots of f mod 3, none of them exact
-    unknown = False
-    for t0 in (t for t in range(3) if _poly_eval(coeffs, t) % 3 == 0):
-        val = _poly_eval(coeffs, t0)
-        # Hensel: a simple enough root of f gives a Z_3 zero of G, i.e. a
-        # projective point with z = 0
-        dval = _poly_eval((coeffs[1], 2 * coeffs[2], 3 * coeffs[3], 0), t0)
-        if dval != 0 and _v3(val) > 2 * _v3(dval):
-            v, m = _v3(val), _v3(dval)
-            return (t0, vshift + v, 0, f"z=0 branch: v(f)={v} > 2*v(df)="
-                    f"{2*m}, Hensel; v(G)={vshift + v}")
-        hit = _chart_search(_poly_shift_scale(coeffs, t0), vshift,
-                            depth + 1)
-        if hit == "unknown":
-            unknown = True
-        elif hit is not None:
-            s, level, z, note = hit
-            return (t0 + 3 * s, level, z, note)
-    return "unknown" if unknown else None
-
-
 def locally_solvable(C: HomogeneousSpace):
-    """Tri-state test of C over Q_3, the one place a class of a family
+    """Solvability of C over Q_3, the one place a class of a family
     discriminant needs (see the module docstring).
 
-    Returns ('yes', LocalWitness) | ('no', None) | ('unknown', None).
-    'no' is exhaustive: every residue branch of P^1(Z_3) was ruled out.
+    Returns ('yes', LocalWitness); the answer is a theorem whenever
+    3 does not divide disc(F), and a ValidationError is raised otherwise.
+    The witness is a root of F mod 3, which Hensel lifts to a point
+    (x : y : 0), or a t in 0..8 with F(1, t) = +-1 mod 9, a unit cube.
     """
     F = C.form
-    a, b, c, d = F.coeffs()
-    charts = (
-        ((a, b, c, d), lambda t: (1, t)),                     # f = G(1, t)
-        ((d, 3 * c, 9 * b, 27 * a), lambda t: (3 * t, 1)),    # G(3t, 1)
-    )
-    unknown = False
-    for coeffs, point in charts:
-        hit = _chart_search(coeffs, 0, 0)
-        if hit == "unknown":
-            unknown = True
-        elif hit is not None:
-            t, level, z, note = hit
-            witness = LocalWitness(3, level, (*point(t), z), note)
-            assert witness.verify(F)
-            return ("yes", witness)
-    return ("unknown", None) if unknown else ("no", None)
+    D = disc(F)
+    if D % 3 == 0:
+        raise ValidationError(f"{C}: 3 divides disc {D}, outside the "
+                              "domain of the Q_3 criterion")
+    for x, y in ((1, 0), (1, 1), (1, 2), (0, 1)):
+        if F(x, y) % 3 == 0:
+            witness = LocalWitness(3, 1, (x, y, 0),
+                                   "simple root mod 3; Hensel")
+            break
+    else:
+        t, z = next((t, z) for t in range(9) for z in (1, -1)
+                    if (F(1, t) - z) % 9 == 0)
+        witness = LocalWitness(3, 2, (1, t, z),
+                               f"value {z:+d} mod 9, a unit cube")
+    assert witness.verify(F)
+    return ("yes", witness)
 
 
 # --- verdict assembly ---
@@ -260,16 +168,17 @@ def locally_solvable(C: HomogeneousSpace):
 def hasse_verdict(C: HomogeneousSpace, monic: MonicSearch, *,
                   global_bound: int = 10**4) -> Genus1Verdict:
     """Classify the class C of a family discriminant per the monic/non-monic
-    dichotomy.  C must carry its seed, which makes 3 the only place to test.
+    dichotomy.  C must carry its seed, which makes 3 the only place that
+    needs a witness.
 
     `monic` is the caller's monic_representative(C.form, bound); the
     verdict records its bound as monic_bound.  A class that represents 1
     gets the constructive point (p : q : 1) from the first column of the
-    matrix.  The rest are Selmer elements, so everywhere locally solvable,
-    and a 'no' over Q_3 raises InconsistencyError.  A global point within
-    global_bound gives HasGlobalPoint.  Otherwise 'unknown' at 3 gives
-    ViolationCandidate, and 'yes' gives CertifiedViolation, which is
-    conditional on the monic dichotomy (which fails for some D).
+    matrix.  The rest are everywhere locally solvable by theorem, and the
+    Q_3 witness is built and checked once per class.  A global point
+    within global_bound gives HasGlobalPoint, and its absence gives
+    CertifiedViolation, which is conditional on the monic dichotomy (which
+    fails for some D).
     """
     if C.seed is None:
         raise ValidationError(f"{C} has no seed, so its discriminant need "
@@ -284,12 +193,7 @@ def hasse_verdict(C: HomogeneousSpace, monic: MonicSearch, *,
                              monic_bound=rep_bound,
                              notes="constructive: class represents 1")
 
-    status, _w = locally_solvable(C)
-    if status == "no":
-        raise InconsistencyError(
-            f"{C} has no point over Q_3, but the classes of "
-            f"discriminant {disc(F)} are everywhere locally solvable")
-
+    locally_solvable(C)             # builds and checks the Q_3 witness
     g = global_search(C, global_bound)
     if g is not None:
         # a global point forces the class to be monic-representable
@@ -302,14 +206,10 @@ def hasse_verdict(C: HomogeneousSpace, monic: MonicSearch, *,
                              "represent 1 beyond the monic search bound "
                              f"{rep_bound}")
 
-    if status == "unknown":
-        return Genus1Verdict("violation_candidate", C, primes_checked=(3,),
-                             search_bound=global_bound, monic_bound=rep_bound,
-                             notes="local test unknown at 3")
     return Genus1Verdict(
         "certified_violation", C, primes_checked=(3,),
         search_bound=global_bound, monic_bound=rep_bound,
         notes="no monic representative within bound; everywhere locally "
-        "solvable (tested at 3 and the primes of D; elsewhere by "
-        "Hasse-Weil and Hensel); no global point within bound; "
-        "certificate conditional on the monic-dichotomy theorem")
+        "solvable by theorem (Q_3 witness; Hasse-Weil and Hensel off 3D; "
+        "t = 1/c at p | D); no global point within bound; certificate "
+        "conditional on the monic-dichotomy theorem")

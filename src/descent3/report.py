@@ -469,8 +469,7 @@ def report_csv_header() -> str:
 def report_to_csv(rep: AnalysisReport) -> str:
     kinds = [v.kind for v in rep.hasse]
     summary = "/".join(f"{kinds.count(k)}{tag}" for k, tag in (
-        ("has_global_point", "pt"), ("certified_violation", "viol"),
-        ("violation_candidate", "cand")))
+        ("has_global_point", "pt"), ("certified_violation", "viol")))
     found = sum(1 for f in rep.monic_flags if f in ("already_monic", "found"))
     row = (rep.seed.m, rep.seed.n, rep.seed.D, rep.r3, len(rep.classes),
            found, rep.r3_monic_lb, rep.selmer_lambda, rep.selmer_lambda_dual,

@@ -8,17 +8,16 @@ import sympy
 import helpers
 import descent3.genus1 as g1
 
-from descent3 import (BinaryCubicForm, HomogeneousSpace, act, build_report,
-                      disc, enumerate_classes, global_search, hasse_verdict,
+from descent3 import (BinaryCubicForm, HomogeneousSpace, act, disc,
+                      enumerate_classes, global_search, hasse_verdict,
                       locally_solvable, make_seed, monic_representative,
                       reduce, scan)
 from descent3.arith import factorize
-from descent3.cli import main
-from descent3.errors import (DiscriminantMismatch, InconsistencyError,
-                             ValidationError)
+from descent3.errors import DiscriminantMismatch, ValidationError
 
-# frozen by the chart oracle: (coefficients, level where the exhaustive
-# residue scan over Z/3^level dies)
+# forms with 3 | disc, outside the domain of the Q_3 criterion, frozen by
+# the chart oracle: (coefficients, level where the exhaustive residue scan
+# over Z/3^level dies)
 INSOLVABLE = (
     ((-6, 9, 9, -3), 3),
     ((3, 3, -6, 6), 2),
@@ -26,25 +25,19 @@ INSOLVABLE = (
 )
 
 
-# one witness of each kind at 3, pinned by repr(LocalWitness) so that the
-# chart search and the witness assembly keep every field:
-# (coefficients, repr)
+# one witness of each shape at 3, pinned by repr(LocalWitness) so that the
+# witness assembly keeps every field: (coefficients, repr)
 WITNESS_PINS = (
-    # exact zero of G: G(1, t) = (t - 4)(t^2 + t + 10), whose residues at
-    # t = 0, 2 are non-cube units mod 9, so the zero t = 4 is reached one
-    # level down the residue tree below the root t = 1 mod 3
-    ((-40, 6, -3, 1), "LocalWitness(place=3, level=10, triple=(1, 4, 0),"
-     " note='exact zero of G')"),
-    # Hensel z = 0 point: v_3 = 3 of the content-stripped chart value f
-    # passes the Hensel test, and the level is v_3(G(1, 2)) = 4
-    ((-3, -3, 0, -9), "LocalWitness(place=3, level=4, triple=(1, 2, 0),"
-     " note='z=0 branch: v(f)=3 > 2*v(df)=0, Hensel; v(G)=4')"),
-    # unit cube below a root mod 3
-    ((25, -24, -24, -2), "LocalWitness(place=3, level=7,"
-     " triple=(1, 11, 30), note='unit cube at level 7; v(G)=3')"),
-    # the (3t : 1) chart, t = 0
-    ((-3, -3, 3, 1), "LocalWitness(place=3, level=3, triple=(0, 1, 1),"
-     " note='unit cube at level 3; v(G)=0')"),
+    # a finite root: G(1, 1) = 3
+    ((1, 0, 1, 1), "LocalWitness(place=3, level=1, triple=(1, 1, 0),"
+     " note='simple root mod 3; Hensel')"),
+    # the root (0 : 1): G(1, t) = 1, 2, 2 (mod 3) for t = 0, 1, 2, and d = 3
+    ((1, 0, 1, 3), "LocalWitness(place=3, level=1, triple=(0, 1, 0),"
+     " note='simple root mod 3; Hensel')"),
+    # a unit value -1 mod 9 on a class of D = 48035713: G(1, t) = 2, 5,
+    # 2, 5 (mod 9) for t = 0..3, so the first unit cube is at t = 4
+    ((2, -41, -45, 134), "LocalWitness(place=3, level=2, triple=(1, 4, -1),"
+     " note='value -1 mod 9, a unit cube')"),
 )
 
 
@@ -56,20 +49,14 @@ def test_space_guards_seed_disc():
 
 
 def test_insolvable_fixtures():
+    # the criterion needs 3 not dividing disc, and these forms show why:
+    # the exhaustive residue scan finds them insolvable over Z_3
     for coeffs, level in INSOLVABLE:
         F = BinaryCubicForm(*coeffs)
-        status, witness = locally_solvable(HomogeneousSpace(F))
-        assert status == "no", coeffs
-        assert witness is None
-        # independent confirmation by exhaustive residue scan
-        assert not helpers.chart_solutions_exist(F, 3, level), coeffs
-
-
-def test_depth_cap_turns_an_exhausted_search_into_unknown(monkeypatch):
-    # (-6, 9, 9, -3) is ruled out one level down the residue tree
-    C = HomogeneousSpace(BinaryCubicForm(-6, 9, 9, -3))
-    monkeypatch.setattr(g1, "_MAX_DEPTH", 0)
-    assert locally_solvable(C) == ("unknown", None)
+        assert disc(F) % 3 == 0
+        with pytest.raises(ValidationError, match="3 divides disc"):
+            locally_solvable(HomogeneousSpace(F))
+        assert helpers.oracle_local_verdict(F, 3) == ("no", level), coeffs
 
 
 def test_witness_pins():
@@ -80,50 +67,59 @@ def test_witness_pins():
         assert witness.verify(F)
 
 
-def test_solvable_cases_carry_verified_witnesses():
-    rng = random.Random(401)
-    seen_yes = 0
-    for _ in range(1000):
+def _forms_prime_to_3(rng, count):
+    """`count` random forms with coefficients in [-9, 9] and 3 not
+    dividing disc, the domain of the Q_3 criterion."""
+    forms = []
+    while len(forms) < count:
         F = BinaryCubicForm(*(rng.randint(-9, 9) for _ in range(4)))
-        if disc(F) == 0:
-            continue
+        if disc(F) % 3:
+            forms.append(F)
+    return forms
+
+
+def test_solvable_cases_carry_verified_witnesses():
+    for F in _forms_prime_to_3(random.Random(401), 1000):
         status, witness = locally_solvable(HomogeneousSpace(F))
-        if status == "yes":
-            seen_yes += 1
-            assert witness.verify(F), F.coeffs()
-    assert seen_yes > 900
+        assert status == "yes", F.coeffs()
+        assert witness.level <= 2 and witness.verify(F), F.coeffs()
 
 
 def test_solver_agrees_with_residue_oracle():
-    rng = random.Random(402)
-    checked = 0
-    for _ in range(600):
-        F = BinaryCubicForm(*(rng.randint(-9, 9) for _ in range(4)))
-        if disc(F) == 0:
-            continue
-        status, _ = locally_solvable(HomogeneousSpace(F))
+    for F in _forms_prime_to_3(random.Random(402), 500):
+        status, witness = locally_solvable(HomogeneousSpace(F))
+        assert status == "yes" and witness.verify(F), F.coeffs()
         oracle, _lvl = helpers.oracle_local_verdict(F, 3, budget=2500)
-        checked += 1
-        if status == "no":
-            assert oracle == "no", F.coeffs()
-        else:
-            assert oracle == "yes", F.coeffs()
-    assert checked > 500
+        assert oracle == "yes", F.coeffs()
 
 
 def test_unit_sweep_at_3_finds_deep_cubes():
-    # F(1, -1) = -1 is a cube, but every F(1, t) for t in {0, 1, 2} is a
-    # non-cube unit mod 9; the solver must sweep the class t = 2 mod 3
+    # F has no root mod 3 and every F(1, t) for t in {0, 1, 2} is a
+    # non-cube unit mod 9, so the witness needs a lift t >= 3
     F = BinaryCubicForm(2, 5, 9, 7)
     status, witness = locally_solvable(HomogeneousSpace(F))
     assert status == "yes"
     assert witness.verify(F)
+    assert witness.triple == (1, 3, -1)         # F(1, 3) = 287 = -1 mod 9
 
 
 def _family_classes():
     seeds = list(scan(range(-30, 31), range(1, 12)))
     assert len(seeds) == 203
     return [(seed.D, F) for seed in seeds for F in enumerate_classes(seed.D)]
+
+
+def test_q3_witness_for_every_family_class_by_theorem():
+    # 3 never divides a family D, so the closed form must find a witness
+    # of level <= 2 on every class and on a GL_2(Z) image of each
+    rng = random.Random(405)
+    classes = _family_classes()
+    assert len(classes) == 237
+    for D, R in classes:
+        for F in (R, act(R, helpers.random_unimodular(rng))):
+            status, witness = locally_solvable(HomogeneousSpace(F))
+            assert status == "yes", (D, F.coeffs())
+            assert witness.level <= 2 and witness.verify(F), (D, F.coeffs())
 
 
 def test_solvable_off_3d_by_hasse_weil_and_hensel():
@@ -182,30 +178,6 @@ def test_hasse_verdict_certified_violation(classes_48035713):
     assert v.primes_checked == (3,)
     assert "everywhere locally solvable" in v.notes
     assert str(v) == "CertifiedViolation"
-
-
-def _answer_at_3(answer, monkeypatch):
-    """Make locally_solvable answer `answer` over Q_3."""
-    monkeypatch.setattr(g1, "locally_solvable", lambda C: (answer, None))
-
-
-def test_hasse_verdict_candidate_when_a_local_test_is_unknown(
-        classes_48035713, monkeypatch):
-    F = classes_48035713[2]
-    _answer_at_3("unknown", monkeypatch)
-    v = hasse_verdict(HomogeneousSpace(F, make_seed(229, 3)),
-                      monic_representative(F, 1000), global_bound=300)
-    assert v.kind == "violation_candidate"
-    assert v.notes == "local test unknown at 3"
-    assert str(v) == "ViolationCandidate"
-
-
-def test_local_no_on_a_family_class_is_an_inconsistency(monkeypatch, capsys):
-    _answer_at_3("no", monkeypatch)
-    with pytest.raises(InconsistencyError, match=r"\[2,-41,-45,134\].*Q_3"):
-        build_report(make_seed(229, 3), global_bound=300)
-    assert main(["hasse", "--m", "229", "--n", "3"]) == 3
-    assert "Q_3" in capsys.readouterr().err
 
 
 def test_hasse_verdict_needs_a_seed(classes_48035713):
@@ -269,21 +241,16 @@ def test_hasse_verdict_reuses_a_given_monic_search(classes_4897363,
 
 def test_local_verdicts_agree_across_gl2_orbits(classes_4897363,
                                                  classes_48035713):
-    # a 'yes' over Q_3 for one form of an orbit and a 'no' for another
-    # would be a wrong answer; 'unknown' may differ.  Class representatives
-    # of family discriminants are locally solvable everywhere, so the
-    # frozen insolvable fixtures are added to exercise 'no' as well.
+    # disc is a GL_2(Z) invariant, so both forms of an orbit lie in the
+    # domain of the criterion, and each must carry a verified witness
     rng = random.Random(404)
     reps = list(classes_4897363) + list(classes_48035713)
     for sign in (1, -1):
         for D in helpers.random_family_discs(rng, 60, sign, 7):
             reps.extend(enumerate_classes(D))
-    insolvable = [BinaryCubicForm(*coeffs) for coeffs, _ in INSOLVABLE]
-    answers = set()
-    for R in [rng.choice(reps) for _ in range(300)] + insolvable * 20:
+    for R in [rng.choice(reps) for _ in range(300)]:
         G = act(R, helpers.random_unimodular(rng))
-        got = {locally_solvable(HomogeneousSpace(R))[0],
-               locally_solvable(HomogeneousSpace(G))[0]}
-        assert got != {"yes", "no"}, (R.coeffs(), G.coeffs())
-        answers |= got
-    assert {"yes", "no"} <= answers
+        for F in (R, G):
+            status, witness = locally_solvable(HomogeneousSpace(F))
+            assert status == "yes", (R.coeffs(), G.coeffs())
+            assert witness.verify(F), (R.coeffs(), G.coeffs())

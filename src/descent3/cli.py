@@ -240,10 +240,17 @@ def cmd_scan(args) -> int:
             lines[(payload[0], payload[1])] = line
             _cache_append(args.cache, line)
 
+    # A fresh line is the serialization of a report just built, so it is
+    # parsed only when a filter or the format needs the object.  A cached
+    # line is always parsed: that is how a bad record gets caught.
+    need_rep = bool(filters) or args.fmt != "json"
+    fresh = {(m, n) for m, n, _ in todo}
     first = True
     for seed in seeds:                      # normalized emission order
         line = lines[(seed.m, seed.n)]
-        rep = report_from_json(line)
+        rep = None
+        if need_rep or (seed.m, seed.n) not in fresh:
+            rep = report_from_json(line)
         if all(f(rep) for f in filters):
             if args.fmt == "csv":
                 _emit_report(rep, "csv", header=first)

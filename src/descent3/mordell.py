@@ -30,8 +30,10 @@ dimension mod 3 follows from the exact sequence
 each relation mod lambda names a point T = lambda(P) of the kernel, and
 T lies in 3E_D' iff psi(P) is a cube, so the psi(P) add their rank.
 
-A report runs psi_prime_relations once, over the searched points and then
-the class points the search missed.  The greedy basis of a prefix spans
+A report runs psi_prime_relations once, over the searched points up to
+sign and then the class points the search missed.  psi'(-S) is the
+inverse class of psi'(S) and -S lies in the span of S, so one point of
+each pair +-S spans what both do.  The greedy basis of a prefix spans
 that prefix, so its entries among the searched points count their rank
 mod lambda, and span_dim_mod_3 reuses the same relations.
 

@@ -282,6 +282,13 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
+def _upper(S: CurvePoint) -> CurvePoint:
+    """S or -S, whichever has Y > 0 (Y = 0 would make 432D a cube).
+    psi'(-S) is the inverse class of psi'(S), so a span needs only one of
+    the two."""
+    return S if S.y > 0 else -S
+
+
 def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
                  point_bound: int = 10**5, global_bound: int = 10**4,
                  run_hasse: bool = True) -> AnalysisReport:
@@ -311,8 +318,10 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
     searched = search_monic_points(D, point_bound)
 
     dim_from_classes = span_dim_mod_lambda(class_points, D)
-    pts, rels = psi_prime_relations(dict.fromkeys(searched + class_points), D)
-    dim_quotient_lambda = rels[:len(searched)].count(None)
+    upper = list(dict.fromkeys(map(_upper, searched)))
+    pts, rels = psi_prime_relations(
+        dict.fromkeys(upper + [_upper(S) for S in class_points]), D)
+    dim_quotient_lambda = rels[:len(upper)].count(None)
     if dim_from_classes != dim_quotient_lambda:
         raise InconsistencyError(
             f"r3(monic) cross-check failed: {dim_from_classes} from "
@@ -325,7 +334,7 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
             f"{found_count} monic classes cannot sit inside a span of "
             f"dimension {r3_monic_lb}")
 
-    points = sorted(pts, key=lambda P: (P.x, P.y))
+    points = sorted(set(searched + class_points), key=lambda P: (P.x, P.y))
     dim_mod_3 = span_dim_mod_3(pts, D, relations=(pts, rels))
 
     selmer_l, selmer_ld = selmer_ranks(D, r3)

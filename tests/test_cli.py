@@ -1,13 +1,15 @@
 """Command line behavior: exit codes, formats, cache, scan filters."""
 
 import json
+import random
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from descent3 import __version__
+from descent3 import __version__, cli
 from descent3.cli import main, _parse_filter, _parse_range, _recover_seed
 from descent3.errors import ValidationError
 
@@ -310,3 +312,100 @@ def test_readme_quick_start_outputs(capsys):
     for printed, comment in zip(out[:3], comments):
         assert re.match(re.escape(printed) + r"(\W|$)", comment), comment
     assert json.loads(out[3])["seed"]["disc"] == "-23"
+
+
+def test_scan_parses_a_fresh_line_only_when_needed(monkeypatch, tmp_path,
+                                                   capsys):
+    # a fresh JSON line is printed as it was serialized; a cached line is
+    # always parsed, and a filter or a csv/text format parses every line
+    parsed = []
+    real = cli.report_from_json
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cli, "report_from_json", counting)
+    cache = tmp_path / "scan.ndjson"
+    argv = ["scan", "--m", "1..3", "--n", "1..3", "--format", "json",
+            "--cache", str(cache)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert len(fresh.splitlines()) == 4 and parsed == []
+    assert main(argv) == 0                      # every line is a cache hit
+    assert capsys.readouterr().out == fresh
+    assert len(parsed) == 4
+    for extra in (["--filter", "r3>=0"], ["--format", "csv"],
+                  ["--format", "text"]):
+        parsed.clear()
+        assert main(["scan", "--m", "1..3", "--n", "1..3", *extra]) == 0
+        assert len(parsed) == 4, extra
+    capsys.readouterr()
+
+
+# malformed values next to valid ones; every bound and seed stays small,
+# so that a vector which happens to be valid still runs in milliseconds
+_FUZZ_RANGES = ("1..2", "-2..1", "2..1", "0..0", "a..b", "1..", "..2", "",
+                "1...2", "1..2..3", "x", "-3..-5", "1 .. 2", "--", "3")
+_FUZZ_INTS = ("1", "2", "-1", "0", "-3", "x", "1.5", "", "1e3", "--",
+              "0x10", " 2")
+_FUZZ_BOUNDS = ("0", "-1", "x", "1.5", "", "1", "7", "-0", "1_0")
+_FUZZ_OPTIONS = {
+    "scan": [("--m", _FUZZ_RANGES), ("--n", _FUZZ_RANGES),
+             ("--filter", ("r3>=1", "bogus>=1", "r3>=x", "r3", "rank_lb<9",
+                           "")),
+             ("--format", ("json", "csv", "text", "xml", "")),
+             ("--jobs", ("0", "-1", "x", "1")), ("--hasse", None),
+             ("--bound-monic", _FUZZ_BOUNDS), ("--bound-global", _FUZZ_BOUNDS),
+             ("--bound-rep", _FUZZ_BOUNDS), ("--disc", _FUZZ_INTS)],
+    "analyze": [("--m", _FUZZ_INTS), ("--n", _FUZZ_INTS),
+                ("--disc", ("0", "1", "-3", "-4", "5", "-23", "229", "x",
+                            "-" + "9" * 30, "")),
+                ("--format", ("json", "csv", "text", "xml")),
+                ("--no-hasse", None), ("--jobs", ("0", "1")),
+                ("--bound-monic", _FUZZ_BOUNDS),
+                ("--bound-global", _FUZZ_BOUNDS),
+                ("--bound-rep", _FUZZ_BOUNDS), ("--m=1..2", None)],
+}
+_FUZZ_BASE = {"scan": ["scan", "--m=-2..1", "--n=1..2"],
+              "analyze": ["analyze", "--m", "-1", "--n", "1"]}
+
+
+def _fuzz_argv(rng):
+    """A valid vector with one to three edits: an option added (valid or
+    not, possibly a second time), a token replaced by a bad value, or a
+    token dropped."""
+    cmd = rng.choice(("scan", "analyze"))
+    argv = list(_FUZZ_BASE[cmd])
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(4)
+        if edit < 2:
+            flag, values = rng.choice(_FUZZ_OPTIONS[cmd])
+            if values is None:
+                argv.append(flag)
+            elif edit == 0:
+                argv.append(f"{flag}={rng.choice(values)}")
+            else:
+                argv += [flag, rng.choice(values)]
+        elif len(argv) == 1:
+            continue
+        elif edit == 2:
+            argv[rng.randrange(1, len(argv))] = rng.choice(
+                _FUZZ_RANGES + _FUZZ_INTS)
+        else:
+            del argv[rng.randrange(1, len(argv))]
+    return argv
+
+
+def test_cli_fuzz_never_exits_1(capsys):
+    # 0 ok, 2 bad input, 3 inconsistency, 4 budget: an uncaught error
+    # (exit 1, or an exception out of main) breaks that contract
+    rng = random.Random(2718)
+    codes = Counter()
+    for _ in range(200):
+        argv = _fuzz_argv(rng)
+        code = _exit_code(argv)
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        codes[code] += 1
+    assert codes[0] >= 10 and codes[2] >= 150, codes

@@ -18,6 +18,8 @@ from helpers import naive_span_dim
 
 ANCHORS = [(1, 1), (7, 3), (-34, 419), (229, 3)]
 POOL = [(-73, 1), (-46, 1), (-19, 13), (-130, 21), (-196, 39)]
+# Table 3 rows whose classes all have global points
+TABLE_3_ROWS = [(-73, 11), (-94, 19), (-91, 31)]
 
 
 def _assert_spans_match(D, pts):
@@ -134,10 +136,10 @@ def test_spans_skip_infinity_and_track_psi_prime():
 
 def test_report_spans_come_from_one_psi_prime_pass(monkeypatch):
     # build_report reads dim mod lambda off the searched prefix of one
-    # relation pass and hands the same pass to span_dim_mod_3: the
-    # dimensions equal the separate calls on the searched points and on
-    # the sorted union, and psi' runs once per searched point plus the
-    # class cross-check (the separate calls took two per searched point)
+    # relation pass over the points up to sign and hands the same pass to
+    # span_dim_mod_3: the dimensions equal the separate calls on the full
+    # searched list and on the full sorted union, and psi' runs once per
+    # searched point up to sign plus the class cross-check
     calls = [0]
     real_psi_prime = mordell.psi_prime
 
@@ -145,9 +147,9 @@ def test_report_spans_come_from_one_psi_prime_pass(monkeypatch):
         calls[0] += 1
         return real_psi_prime(S, D)
 
-    seeds = [make_seed(m, n) for m, n in ANCHORS + POOL]
+    seeds = [make_seed(m, n) for m, n in ANCHORS + POOL + TABLE_3_ROWS]
     seeds += scan(range(-8, 9), range(1, 8))
-    assert len(seeds) == 48
+    assert len(seeds) == 51
     for seed in seeds:
         D = seed.D
         monkeypatch.setattr(mordell, "psi_prime", counting)
@@ -160,7 +162,9 @@ def test_report_spans_come_from_one_psi_prime_pass(monkeypatch):
                         for r in reps if r.found]
         union = sorted(set(searched) | set(class_points),
                        key=lambda P: (P.x, P.y))
-        assert calls[0] <= len(searched) + len(class_points), (seed.m, seed.n)
+        up_to_sign = {(S.x, abs(S.y)) for S in searched}
+        bound = len(up_to_sign) + len(class_points)
+        assert calls[0] <= bound, (seed.m, seed.n)
         assert rep.points == union
         assert rep.dim_quotient_lambda == span_dim_mod_lambda(searched, D)
         assert rep.dim_mod_3 == span_dim_mod_3(union, D)

@@ -85,6 +85,7 @@ def _seed_from_args(args):
 # it answered this run.
 
 _SETTINGS = ("rep_bound", "point_bound", "global_bound")
+_UNREADABLE = (ValueError, KeyError, TypeError, ValidationError)
 
 
 def _settings(args) -> dict:
@@ -114,7 +115,13 @@ def _record_key(record: dict) -> tuple:
             prov["hasse"])
 
 
+def _skip_line(path: str, lineno: int):
+    print(f"warning: skipping unreadable cache line {lineno} of {path}",
+          file=sys.stderr)
+
+
 def _cache_load(path: str | None) -> dict:
+    """{key: (lineno, line)} of the records in the cache file."""
     if not path:
         return {}
     out = {}
@@ -125,14 +132,26 @@ def _cache_load(path: str | None) -> dict:
                 if not line:
                     continue
                 try:
-                    out[_record_key(json.loads(line))] = line
-                except (ValueError, KeyError, TypeError):
+                    out[_record_key(json.loads(line))] = lineno, line
+                except _UNREADABLE:
                     # a torn or foreign line: recompute rather than crash
-                    print(f"warning: skipping unreadable cache line {lineno} "
-                          f"of {path}", file=sys.stderr)
+                    _skip_line(path, lineno)
     except FileNotFoundError:
         pass
     return out
+
+
+def _cache_hit(cache: dict, key: tuple, path: str | None):
+    """The report cached under key, or None.  A record whose key parses
+    but whose body does not is a miss too."""
+    if key in cache:
+        lineno, line = cache[key]
+        try:
+            rep = report_from_json(line)
+            print(f"cache hit D = {key[0]}", file=sys.stderr)
+            return rep
+        except _UNREADABLE:
+            _skip_line(path, lineno)
 
 
 def _cache_append(path: str | None, line: str):
@@ -165,12 +184,9 @@ def _emit_report(rep, fmt: str, header: bool = False):
 def cmd_analyze(args) -> int:
     kwargs = dict(_settings(args), run_hasse=args.hasse)
     seed = _seed_from_args(args)
-    cache = _cache_load(args.cache)
-    key = _cache_key(seed.D, kwargs)
-    if key in cache:
-        print(f"cache hit D = {seed.D}", file=sys.stderr)
-        rep = report_from_json(cache[key])
-    else:
+    rep = _cache_hit(_cache_load(args.cache), _cache_key(seed.D, kwargs),
+                     args.cache)
+    if rep is None:
         rep = build_report(seed, **kwargs)
         _cache_append(args.cache, report_to_json(rep))
     _emit_report(rep, args.fmt, header=True)
@@ -220,14 +236,14 @@ def cmd_scan(args) -> int:
     cache = _cache_load(args.cache)
 
     seeds = list(seed_scan(m_range, n_range))
-    todo, lines = [], {}
+    todo, lines, reps = [], {}, {}
     for seed in seeds:
         key = _cache_key(seed.D, kwargs)
-        if key in cache:
-            print(f"cache hit D = {seed.D}", file=sys.stderr)
-            lines[(seed.m, seed.n)] = cache[key]
-        else:
+        rep = _cache_hit(cache, key, args.cache)
+        if rep is None:
             todo.append((seed.m, seed.n, kwargs))
+        else:
+            reps[seed.m, seed.n], lines[seed.m, seed.n] = rep, cache[key][1]
 
     if args.jobs > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -242,14 +258,13 @@ def cmd_scan(args) -> int:
 
     # A fresh line is the serialization of a report just built, so it is
     # parsed only when a filter or the format needs the object.  A cached
-    # line is always parsed: that is how a bad record gets caught.
+    # line was parsed on lookup: that is how a bad record gets caught.
     need_rep = bool(filters) or args.fmt != "json"
-    fresh = {(m, n) for m, n, _ in todo}
     first = True
     for seed in seeds:                      # normalized emission order
         line = lines[(seed.m, seed.n)]
-        rep = None
-        if need_rep or (seed.m, seed.n) not in fresh:
+        rep = reps.get((seed.m, seed.n))
+        if rep is None and need_rep:
             rep = report_from_json(line)
         if all(f(rep) for f in filters):
             if args.fmt == "csv":

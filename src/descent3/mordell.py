@@ -49,9 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-import sympy
-from sympy.ntheory import sqrt_mod
-
 from .arith import (cubic_character, cubic_square_points,
                     integer_roots_monic_cubic)
 from .errors import (CurveMismatch, OffCurve, PreimageMissing,
@@ -92,10 +89,11 @@ class CurvePoint:
             return
         self.infinite = False
         x, y = Fraction(x), Fraction(y)
-        if y * y != x**3 + curve.k:
-            raise OffCurve(f"({x}, {y}) not on {curve}")
-        # denominators of an affine rational point are (w^2, w^3)
+        # denominators are (w^2, w^3); an integral point is checked in ints
         w2, w3 = x.denominator, y.denominator
+        u, v = (x.numerator, y.numerator) if w2 == w3 == 1 else (x, y)
+        if v * v != u**3 + curve.k:
+            raise OffCurve(f"({x}, {y}) not on {curve}")
         assert isqrt(w2) ** 2 == w2 and isqrt(w2) ** 3 == w3
         self.x, self.y = x, y
 
@@ -285,14 +283,12 @@ def search_monic_points(D: int, bound: int) -> list[CurvePoint]:
     P = 3m, G = 27n is the form (1, 0, -m, n).  Every point with 3 not
     dividing P is kept: then P = 1 (mod 3) and G = +-(3P - 1) (mod 27),
     so b = +-1, c = (1 - P)/3 and d = (G - 2b^3 + 9bc)/27 is integral."""
-    out = []
+    pairs = []
     for P, G in cubic_square_points(27 * D, -3 * bound, 3 * bound):
         if P % 3 == 0 and G % 27:
             continue
-        for g in ((G, -G) if G else (0,)):
-            out.append(syzygy_point(D, P, g))
-    out.sort(key=lambda S: (S.x, S.y))
-    return out
+        pairs += [(P, G), (P, -G)] if G else [(P, 0)]
+    return [syzygy_point(D, P, g) for P, g in sorted(pairs)]  # (x, y) order
 
 
 # --- F_3 spans of point sets in the two descent quotients ---
@@ -302,12 +298,15 @@ def _split_characters(d: int, norms: list[int]):
     for the primes l = 1 (mod 6) with l not dividing d or any of the
     norms, d a square mod l, and both roots r of r^2 = d (mod l).  The
     ring map sqrt(d) -> r sends every element whose norm is prime to l to
-    (Z/l)*, so each character is a homomorphism that kills the cubes."""
+    (Z/l)*, so each character is a homomorphism that kills the cubes.
+    As l stays in the hundreds, trial division tests it and r is the
+    least root, found by a scan."""
     l = 7
     while True:
-        if (d % l and pow(d, (l - 1) // 2, l) == 1 and sympy.isprime(l)
+        if (d % l and pow(d, (l - 1) // 2, l) == 1
+                and all(l % p for p in range(5, isqrt(l) + 1, 2))
                 and all(N % l for N in norms)):
-            r = sqrt_mod(d, l)
+            r = next(r for r in range(1, l) if (r * r - d) % l == 0)
             yield l, r
             yield l, l - r
         l += 6

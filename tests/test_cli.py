@@ -217,6 +217,42 @@ def test_torn_cache_line_is_skipped_and_recomputed(tmp_path, capsys):
     assert cache.read_text().splitlines()[-1] == line   # recomputed, appended
 
 
+def test_cache_record_with_a_broken_body_is_recomputed(tmp_path, capsys):
+    # the key fields parse but the body does not: the hit is a miss, the
+    # report is rebuilt, printed byte for byte and appended
+    cache = tmp_path / "cache.ndjson"
+    argv = ["analyze", "--m", "1", "--n", "1", "--format", "json",
+            "--cache", str(cache)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    line = cache.read_text().strip()
+    record = json.loads(line)
+    del record["points"]
+    cache.write_text(json.dumps(record) + "\n")
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == fresh
+    assert "skipping unreadable cache line 1" in err
+    assert "cache hit" not in err
+    assert cache.read_text().splitlines()[-1] == line
+    assert main(argv) == 0                  # the appended record is a hit
+    out, err = capsys.readouterr()
+    assert out == fresh and "cache hit D = -23" in err
+    # scan does the same; the record it appends is then the hit
+    cache.write_text(json.dumps(record) + "\n")
+    scan = ["scan", "--m", "1..1", "--n", "1..1", "--hasse", "--format",
+            "json", "--cache", str(cache)]
+    assert main(scan) == 0
+    out, err = capsys.readouterr()
+    assert out == fresh
+    assert "skipping unreadable cache line 1" in err
+    assert "cache hit" not in err
+    assert cache.read_text().splitlines()[-1] == line
+    assert main(scan) == 0
+    out, err = capsys.readouterr()
+    assert out == fresh and "cache hit D = -23" in err
+
+
 @pytest.mark.parametrize("argv", [["--m", "-2..2", "--n", "1..3"],
                                   ["--m=-2..2", "--n=1..3"]])
 def test_scan_accepts_negative_range_both_spellings(argv, capsys):

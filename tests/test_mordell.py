@@ -1,14 +1,19 @@
 """Exact group law, the 3-isogeny pair, descent maps, point search."""
 
+import random
 from fractions import Fraction
+from itertools import islice, takewhile
 
 import pytest
+import sympy
+from sympy.ntheory import sqrt_mod
 
 from descent3 import (CurvePoint, MordellCurve, add, in_lambda_image, is_cube,
                       lambda_dual, lambda_map, lambda_preimage, make_seed,
                       mul_scalar, psi, psi_prime, search_monic_points,
                       span_dim_mod_3, span_dim_mod_lambda)
 from descent3.errors import CurveMismatch, OffCurve, PreimageMissing
+from descent3.mordell import _split_characters
 
 
 E23 = MordellCurve.e_d(-23)          # y^2 = x^3 - 368
@@ -22,6 +27,47 @@ def test_curvepoint_validates():
         CurvePoint(E23, 8, 13)
     O = CurvePoint(E23)
     assert O.infinite
+    # integral points are checked in integers: a pair one off the curve in
+    # either coordinate is refused, and int and Fraction inputs build one
+    # point; a non-integral pair is checked in Fractions
+    for E, x, y in ((E23, 8, 12), (E23P, -15, 81)):
+        for dx, dy in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+            with pytest.raises(OffCurve):
+                CurvePoint(E, x + dx, y + dy)
+        P = CurvePoint(E, x, y)
+        for X, Y in ((Fraction(x), Fraction(y)), (Fraction(x), y),
+                     (x, Fraction(2 * y, 2))):
+            Q = CurvePoint(E, X, Y)
+            assert Q == P and hash(Q) == hash(P)
+            assert type(Q.x) is type(Q.y) is Fraction
+            assert Q.uvw() == (x, y, 1)
+    T = mul_scalar(3, CurvePoint(E23, 8, 12))       # (449/25, 9207/125)
+    assert CurvePoint(E23, T.x, T.y) == T
+    with pytest.raises(OffCurve):
+        CurvePoint(E23, T.x, T.y + 1)
+
+
+def test_split_characters_match_sympy_primes_and_roots():
+    # d = 1 is a nonzero square mod every l, so its split primes are the
+    # primes l = 1 (mod 6) themselves, each with the roots 1 and l - 1
+    primes = [l for l in range(7, 2000, 6) if sympy.isprime(l)]
+    chars = list(islice(_split_characters(1, []), 2 * len(primes)))
+    assert chars[::2] == [(l, 1) for l in primes]
+    assert chars[1::2] == [(l, l - 1) for l in primes]
+    # for seeded d of either sign and for d = -3D of a family seed, the
+    # split primes below 2000 are the l = 1 (mod 6) at which sympy finds d a
+    # nonzero square, and the first root is the one sqrt_mod returns
+    rng = random.Random(20)
+    ds = [rng.choice((-1, 1)) * rng.randrange(2, 10**9) for _ in range(40)]
+    seen = set()
+    for d in ds + [-3 * make_seed(-34, 419).D]:
+        chars = list(takewhile(lambda ch: ch[0] < 2000,
+                               _split_characters(d, [])))
+        assert chars[::2] == [(l, sqrt_mod(d, l)) for l in primes
+                              if d % l and sympy.legendre_symbol(d % l, l) == 1]
+        assert chars[1::2] == [(l, l - r) for l, r in chars[::2]]
+        seen.update(l for l, _ in chars)
+    assert seen == set(primes)
 
 
 def test_group_law_axioms():

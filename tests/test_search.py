@@ -6,7 +6,8 @@ from math import gcd, isqrt
 
 import helpers
 import descent3.cubicforms as cubicforms
-from descent3.arith import _CUBIC_SQUARE_BLOCK, cubic_square_points
+from descent3.arith import (_CUBIC_SQUARE_BLOCK, _CUBIC_SQUARE_GROUPS,
+                            cubic_square_points)
 from descent3 import (BinaryCubicForm, HomogeneousSpace, act, disc,
                       enumerate_classes, global_search, is_irreducible,
                       make_seed, monic_representative, search_monic_points)
@@ -413,15 +414,20 @@ def test_monic_sieve_on_bench_anchors():
     assert counts == {(-34, 419): 22, (229, 3): 2, (1, 1): 10, (7, 3): 2}
 
 
-# --- cubic_square_points across its 2^16-index blocks ---
+# --- cubic_square_points across its blocks ---
 
 def test_cubic_square_points_across_block_boundaries():
-    # each pattern is tiled once from lo and shifted per block, so the
-    # planted point sits just before, on and just after a block start
-    # while lo walks 81 consecutive values (every offset mod 81 and mod
-    # 64); t0 = 5 puts the point on the least cube index itself, so lo
-    # starts below it for half the walk
+    # each group mask is built from lo, tiled once and shifted per block,
+    # so the planted point sits just before, on and just after a block
+    # start while lo walks 81 consecutive values (every offset mod 81 and
+    # mod 64); t0 = 5 puts the point on the least cube index itself, so lo
+    # starts below it for half the walk.  Then lo walks one period of the
+    # largest group product below the point at off = 40, so lo covers every
+    # offset modulo every group product, in one block and with the point
+    # in the second of two blocks.
     B = _CUBIC_SQUARE_BLOCK
+    Qmax = max(Q for _, Q in _CUBIC_SQUARE_GROUPS)
+    assert Qmax < B
     widths = (B - 1, B, B + 1, 2 * B + 81)
     cases = [(10**6 + 7, 5, 40), (-(10**6) - 3, 5, 40)]
     for off in (40, B + 40, 2 * B + 40):
@@ -441,4 +447,33 @@ def test_cubic_square_points_across_block_boundaries():
                 got = list(cubic_square_points(c, lo, lo + w - 1))
                 assert got == [p for p in want if lo <= p[0] < lo + w], \
                     (c, lo, w)
+        if off != 40:
+            continue
+        want = helpers.naive_cubic_square_points(c, s0 - B - Qmax, s0 + 60)
+        for k in range(Qmax):
+            for lo, hi in ((s0 - k, s0 + k % 61), (s0 - B - k, s0 + 1)):
+                got = list(cubic_square_points(c, lo, hi))
+                assert got == [p for p in want if lo <= p[0] <= hi], \
+                    (c, lo, hi)
     assert signs == {True: 4, False: 4}
+
+
+def test_cubic_square_points_match_naive_scan_on_random_ranges():
+    # seeded curves with a planted point (s0, t0), s0 of either sign, and
+    # seeded ranges around it of one block and of up to three blocks
+    rng = random.Random(17)
+    B = _CUBIC_SQUARE_BLOCK
+    signs, blocks = Counter(), Counter()
+    for trial in range(24):
+        s0 = rng.choice((-1, 1)) * rng.randrange(1, 10**7)
+        t0 = rng.randrange(0, 3 * isqrt(abs(s0) ** 3) + 2)
+        c = 4 * s0**3 - t0 * t0
+        w = rng.randrange(1, B + 1) if trial % 2 else rng.randrange(B + 1,
+                                                                    3 * B)
+        lo = s0 - rng.randrange(w)
+        got = list(cubic_square_points(c, lo, lo + w - 1))
+        assert got == helpers.naive_cubic_square_points(c, lo, lo + w - 1)
+        assert (s0, t0) in got
+        signs[c > 0] += 1
+        blocks[w > B] += 1
+    assert len(signs) == 2 and blocks == {False: 12, True: 12}

@@ -85,7 +85,8 @@ def _seed_from_args(args):
 # it answered this run.
 
 _SETTINGS = ("rep_bound", "point_bound", "global_bound")
-_UNREADABLE = (ValueError, KeyError, TypeError, ValidationError)
+_UNREADABLE = (ValueError, KeyError, TypeError, ZeroDivisionError,
+               ValidationError)
 
 
 def _settings(args) -> dict:

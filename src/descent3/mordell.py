@@ -89,10 +89,9 @@ class CurvePoint:
             return
         self.infinite = False
         x, y = Fraction(x), Fraction(y)
-        # denominators are (w^2, w^3); an integral point is checked in ints
+        # y^2 = x^3 + k, cleared of the denominators (w^2, w^3), in ints
         w2, w3 = x.denominator, y.denominator
-        u, v = (x.numerator, y.numerator) if w2 == w3 == 1 else (x, y)
-        if v * v != u**3 + curve.k:
+        if y.numerator**2 * w2**3 != (x.numerator**3 + curve.k * w2**3) * w3**2:
             raise OffCurve(f"({x}, {y}) not on {curve}")
         assert isqrt(w2) ** 2 == w2 and isqrt(w2) ** 3 == w3
         self.x, self.y = x, y

@@ -251,6 +251,18 @@ def test_cache_record_with_a_broken_body_is_recomputed(tmp_path, capsys):
     assert main(scan) == 0
     out, err = capsys.readouterr()
     assert out == fresh and "cache hit D = -23" in err
+    # a point that parses as a key but divides by zero is a miss as well
+    record = json.loads(line)
+    record["points"][0]["x"] = "1/0"
+    cache.write_text(json.dumps(record) + "\n")
+    for cmd in (argv, scan):
+        assert main(cmd) == 0
+        out, err = capsys.readouterr()
+        assert out == fresh
+        assert "skipping unreadable cache line 1" in err
+        assert "cache hit" not in err
+        assert cache.read_text().splitlines()[-1] == line
+        cache.write_text(json.dumps(record) + "\n")
 
 
 @pytest.mark.parametrize("argv", [["--m", "-2..2", "--n", "1..3"],

@@ -421,10 +421,11 @@ def test_cubic_square_points_across_block_boundaries():
     # so the planted point sits just before, on and just after a block
     # start while lo walks 81 consecutive values (every offset mod 81 and
     # mod 64); t0 = 5 puts the point on the least cube index itself, so lo
-    # starts below it for half the walk.  Then lo walks one period of the
-    # largest group product below the point at off = 40, so lo covers every
-    # offset modulo every group product, in one block and with the point
-    # in the second of two blocks.
+    # starts below it for half the walk.  Then, for the two points at
+    # off = 40 that lie well above the least cube index (one c of each
+    # sign), lo walks one period of the largest group product below the
+    # point, so lo covers every offset modulo every group product, in one
+    # block and with the point in the second of two blocks.
     B = _CUBIC_SQUARE_BLOCK
     Qmax = max(Q for _, Q in _CUBIC_SQUARE_GROUPS)
     assert Qmax < B
@@ -447,9 +448,10 @@ def test_cubic_square_points_across_block_boundaries():
                 got = list(cubic_square_points(c, lo, lo + w - 1))
                 assert got == [p for p in want if lo <= p[0] < lo + w], \
                     (c, lo, w)
-        if off != 40:
+        if off != 40 or t0 == 5:
             continue
         want = helpers.naive_cubic_square_points(c, s0 - B - Qmax, s0 + 60)
+        assert 4 * (s0 - B - Qmax) ** 3 >= c    # no lo is clamped
         for k in range(Qmax):
             for lo, hi in ((s0 - k, s0 + k % 61), (s0 - B - k, s0 + 1)):
                 got = list(cubic_square_points(c, lo, hi))

@@ -16,7 +16,7 @@ All arithmetic is exact (integers and fractions); nothing is floated.
 # the submodules are imported
 __version__ = "0.2.1"
 
-from .arith import factorize, iroot, is_cubic_residue, is_squarefree
+from .arith import factorize, iroot, is_squarefree
 from .cubicforms import (BinaryCubicForm, MonicSearch, QuadraticForm, act,
                          disc, enumerate_classes, equivalent, hessian,
                          is_irreducible, monic_representative, reduce,

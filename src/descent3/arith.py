@@ -185,20 +185,6 @@ def is_squarefree(n: int) -> bool:
     return st
 
 
-def is_cubic_residue(y: int, l: int) -> bool:
-    """Whether y is a cube mod the prime l = 1 (mod 3).
-
-    Euler-style criterion: y^((l-1)/3) == 1 (mod l).
-    """
-    if not sympy.isprime(l):
-        raise BadPrime(f"{l} is not prime")
-    if l % 3 != 1:
-        raise BadPrime(f"{l} is not 1 mod 3; cubing is a bijection there")
-    if y % l == 0:
-        raise BadPrime(f"{y} is divisible by {l}")
-    return pow(y, (l - 1) // 3, l) == 1
-
-
 @lru_cache(maxsize=None)
 def _unity_cube_root(l: int) -> int:
     """The primitive cube root of unity a^((l-1)/3) mod l for the least
@@ -214,14 +200,14 @@ def _unity_cube_root(l: int) -> int:
 def cubic_character(y: int, l: int) -> int:
     """The cubic residue character of y mod the prime l = 1 (mod 3), read
     in F_3: y^((l-1)/3) is 1, omega or omega^2 (mod l), giving 0, 1 or 2,
-    with omega fixed per l by _unity_cube_root.  It is a homomorphism from
-    (Z/l)* onto F_3 that kills exactly the cubes."""
+    with omega fixed per l by _unity_cube_root, which also rejects every
+    other l.  It is a homomorphism from (Z/l)* onto F_3 that kills exactly
+    the cubes."""
+    omega = _unity_cube_root(l)
     if y % l == 0:
         raise BadPrime(f"{y} is divisible by {l}")
     e = pow(y, (l - 1) // 3, l)
-    if e == 1:
-        return 0
-    return 1 if e == _unity_cube_root(l) else 2
+    return 0 if e == 1 else 1 if e == omega else 2
 
 
 def xgcd(a: int, b: int):
@@ -360,7 +346,7 @@ def _cubic_square_pattern(q: int, c: int) -> int:
     return sum(1 << s for s in range(q) if (4 * s**3 - c) % q in squares)
 
 
-def _least_cube_index(c: int) -> int:
+def least_cube_index(c: int) -> int:
     """The least integer s with 4s^3 >= c."""
     if c <= 0:
         return -iroot(-c // 4, 3)
@@ -380,7 +366,7 @@ def cubic_square_points(c: int, lo: int, hi: int):
     at min(Q, reach) bits and tiled on to reach: the block, plus Q when
     more blocks follow, as shifting it right by (start - lo) % Q puts bit
     (start + i) mod Q at bit i.  Survivors get the exact isqrt test."""
-    lo = max(lo, _least_cube_index(c))
+    lo = max(lo, least_cube_index(c))
     block = min(_CUBIC_SQUARE_BLOCK, hi + 1 - lo)
     masks = {}                  # built on first use: short rows die early
     for start in range(lo, hi + 1, max(block, 1)):     # lo > hi: no blocks

@@ -4,7 +4,7 @@ Subcommands: analyze one seed or discriminant, scan a box of (m, n),
 regenerate the bundled tables, or inspect Hasse verdicts / form classes
 for a single discriminant.  Exit codes: 0 success, 2 invalid input,
 3 internal inconsistency or table mismatch, 4 a computation budget ran
-out (factoring gave up).
+out (factoring or the class enumeration gave up).
 """
 
 import argparse
@@ -13,13 +13,11 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import __version__
 from .arith import iroot
-from .cubicforms import enumerate_classes, monic_representative
-from .errors import (FactorizationBudgetExceeded, InconsistencyError,
-                     ValidationError)
-from .genus1 import HomogeneousSpace, hasse_verdict
+from .errors import BudgetExceeded, InconsistencyError, ValidationError
 from .report import (build_report, report_csv_header, report_from_json,
                      report_to_csv, report_to_json)
 from .seeds import make_seed, scan as seed_scan
@@ -171,27 +169,64 @@ def _cache_append(path: str | None, line: str):
 
 # --- subcommands ---
 
-def _emit_report(rep, fmt: str, header: bool = False):
-    if fmt == "json":
-        print(report_to_json(rep))
-    elif fmt == "csv":
-        if header:
-            print(report_csv_header())
-        print(report_to_csv(rep))
-    else:
-        print(rep)
+def _build_line(payload):
+    m, n, kwargs = payload
+    return report_to_json(build_report(make_seed(m, n), **kwargs))
+
+
+def _print_reports(args, seeds, filters=()) -> int:
+    """Print the report of each seed, in order and in args.fmt, that
+    passes every filter.  A report comes from the cache when it holds one
+    made under these settings; otherwise it is built, on args.jobs worker
+    processes when there are several, and appended to the cache."""
+    kwargs = dict(_settings(args), run_hasse=args.hasse)
+    jobs = getattr(args, "jobs", 1)
+    seeds = list(seeds)
+    cache = _cache_load(args.cache)
+    todo, lines, reps = [], {}, {}
+    for seed in seeds:
+        key = _cache_key(seed.D, kwargs)
+        rep = _cache_hit(cache, key, args.cache)
+        if rep is None:
+            todo.append((seed.m, seed.n, kwargs))
+        else:
+            reps[seed.m, seed.n], lines[seed.m, seed.n] = rep, cache[key][1]
+
+    parallel = jobs > 1 and len(todo) > 1
+    with ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
+        built = (pool.map if parallel else map)(_build_line, todo)
+        for (m, n, _), line in zip(todo, built):
+            lines[m, n] = line
+            _cache_append(args.cache, line)
+
+    # A fresh line is the serialization of a report just built, so it is
+    # parsed only when a filter or the format needs the object.  A cached
+    # line was parsed on lookup: that is how a bad record gets caught.
+    need_rep = bool(filters) or args.fmt != "json"
+    first = True
+    for seed in seeds:                      # normalized emission order
+        line = lines[seed.m, seed.n]
+        rep = reps.get((seed.m, seed.n))
+        if rep is None and need_rep:
+            rep = report_from_json(line)
+        if not all(f(rep) for f in filters):
+            continue
+        if args.fmt == "csv":
+            if first:
+                print(report_csv_header())
+            print(report_to_csv(rep))
+        elif args.fmt == "text":
+            if not first:
+                print()
+            print(rep)
+        else:
+            print(line)
+        first = False
+    return 0
 
 
 def cmd_analyze(args) -> int:
-    kwargs = dict(_settings(args), run_hasse=args.hasse)
-    seed = _seed_from_args(args)
-    rep = _cache_hit(_cache_load(args.cache), _cache_key(seed.D, kwargs),
-                     args.cache)
-    if rep is None:
-        rep = build_report(seed, **kwargs)
-        _cache_append(args.cache, report_to_json(rep))
-    _emit_report(rep, args.fmt, header=True)
-    return 0
+    return _print_reports(args, [_seed_from_args(args)])
 
 
 _FILTER_RX = re.compile(r"^\s*(\w+)\s*(>=|<=|==|!=|>|<)\s*(-?\d+)\s*$")
@@ -223,60 +258,10 @@ def _parse_range(text: str):
     return range(lo, hi + 1)
 
 
-def _scan_worker(payload):
-    m, n, kwargs = payload
-    rep = build_report(make_seed(m, n), **kwargs)
-    return report_to_json(rep)
-
-
 def cmd_scan(args) -> int:
-    kwargs = dict(_settings(args), run_hasse=args.hasse)
-    m_range = _parse_range(args.m_range)
-    n_range = _parse_range(args.n_range)
+    seeds = seed_scan(_parse_range(args.m_range), _parse_range(args.n_range))
     filters = [_parse_filter(f) for f in args.filter or ()]
-    cache = _cache_load(args.cache)
-
-    seeds = list(seed_scan(m_range, n_range))
-    todo, lines, reps = [], {}, {}
-    for seed in seeds:
-        key = _cache_key(seed.D, kwargs)
-        rep = _cache_hit(cache, key, args.cache)
-        if rep is None:
-            todo.append((seed.m, seed.n, kwargs))
-        else:
-            reps[seed.m, seed.n], lines[seed.m, seed.n] = rep, cache[key][1]
-
-    if args.jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for (m, n, _), line in zip(todo, pool.map(_scan_worker, todo)):
-                lines[(m, n)] = line
-                _cache_append(args.cache, line)
-    else:
-        for payload in todo:
-            line = _scan_worker(payload)
-            lines[(payload[0], payload[1])] = line
-            _cache_append(args.cache, line)
-
-    # A fresh line is the serialization of a report just built, so it is
-    # parsed only when a filter or the format needs the object.  A cached
-    # line was parsed on lookup: that is how a bad record gets caught.
-    need_rep = bool(filters) or args.fmt != "json"
-    first = True
-    for seed in seeds:                      # normalized emission order
-        line = lines[(seed.m, seed.n)]
-        rep = reps.get((seed.m, seed.n))
-        if rep is None and need_rep:
-            rep = report_from_json(line)
-        if all(f(rep) for f in filters):
-            if args.fmt == "csv":
-                _emit_report(rep, "csv", header=first)
-                first = False
-            elif args.fmt == "text":
-                _emit_report(rep, "text")
-                print()
-            else:
-                print(line)
-    return 0
+    return _print_reports(args, seeds, filters)
 
 
 def cmd_tables(args) -> int:
@@ -309,22 +294,16 @@ def cmd_tables(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    kwargs = _settings(args)
-    rep_bound = kwargs.pop("rep_bound")
-    seed = _seed_from_args(args)
-    for F in enumerate_classes(seed.D):
-        C = HomogeneousSpace(F, seed)
-        v = hasse_verdict(C, monic_representative(F, rep_bound), **kwargs)
-        print(f"{C}: {v}" + (f"  [{v.notes}]" if v.notes else ""))
+    for v in build_report(_seed_from_args(args), **_settings(args)).hasse:
+        print(f"{v.space}: {v}" + (f"  [{v.notes}]" if v.notes else ""))
     return 0
 
 
 def cmd_forms(args) -> int:
-    rep_bound = _settings(args)["rep_bound"]
-    seed = _seed_from_args(args)
-    for F in enumerate_classes(seed.D):
-        rep = monic_representative(F, rep_bound)
-        print(f"{F}  {rep.status}")
+    rep = build_report(_seed_from_args(args), **_settings(args),
+                       run_hasse=False)
+    for F, status in zip(rep.classes, rep.monic_flags):
+        print(f"{F}  {status}")
     return 0
 
 
@@ -388,7 +367,7 @@ def main(argv=None) -> int:
     except InconsistencyError as e:
         print(f"inconsistency: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    except FactorizationBudgetExceeded as e:
+    except BudgetExceeded as e:
         print(f"budget: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
 

@@ -42,9 +42,9 @@ from math import gcd, isqrt, lcm
 
 from .arith import (bit_indices, cube_root_exact, cubic_square_points,
                     integer_roots_monic_cubic, iroot, is_squarefree,
-                    tile_residues, xgcd)
-from .errors import (DegenerateDiscriminant, InconsistencyError,
-                     NotSquarefree, ValidationError)
+                    least_cube_index, tile_residues, xgcd)
+from .errors import (DegenerateDiscriminant, EnumerationBudgetExceeded,
+                     InconsistencyError, NotSquarefree, ValidationError)
 
 _S = ((0, -1), (1, 0))
 _J = ((1, 0), (0, -1))
@@ -276,31 +276,57 @@ def candidate_forms(D: int):
     gives c = (b^2 - P)/(3a) and d = (9abc - 2b^3 +- G)/(27a^2) when that
     is integral, once per sign of G.  The candidates are exactly the forms
     of discriminant D in the (a, b, c) box these bounds describe, with
-    the same multiplicities as a walk over that box."""
+    the same multiplicities as a walk over that box.  Every range is
+    found, and its width counted, before any sieving (sieve_ranges)."""
+    for a, bmax, lo, hi, span in sieve_ranges(D):
+        for P, G in cubic_square_points(27 * D * a * a, lo, hi):
+            for b in range(-bmax, bmax + 1):
+                r = b * b - P
+                if r % (3 * a) == 0 and (r <= 3 * a * abs(b) if span is None
+                                         else abs(r) <= span):
+                    yield from _forms_at(a, b, P, G)
+
+
+# The most values of P the sieves of one enumeration may cover, summed
+# over its leading coefficients.  The largest sum over the seeds of the
+# tests, the tables and the benchmark anchors and pools is 2,276,049, at
+# D = -30159211.  The sum grows like |D|^0.75 and costs about 0.75 ns a
+# value (2-core machine, Python 3.11, at m = -1: 1.0e10 values, |D| =
+# 2.4e12, in 7.3 s; 6.3e10 values in 49 s), so the budget stops an
+# enumeration that would take more than about 8 s.
+ENUMERATION_BUDGET = 10**10
+
+
+def sieve_ranges(D: int) -> list:
+    """(a, bmax, lo, hi, span) for each leading coefficient a of
+    candidate_forms: P runs over lo .. hi, lo being at least the least P
+    with 4P^3 >= 27Da^2, and b over |b| <= bmax with |b^2 - P| <= span
+    (D < 0) or b^2 - P <= 3a|b| (D > 0, span None).  Raises
+    EnumerationBudgetExceeded once the widths of the ranges add up to
+    more than ENUMERATION_BUDGET, before the rest are found."""
     if D > 0:
         sq = isqrt(D)
         amax = isqrt(max(4 * sq // 27, 1)) + 1
-        for a in range(1, amax + 1):
-            bmax = (3 * a + isqrt(9 * a * a + 4 * sq)) // 2 + 1
-            for P, G in cubic_square_points(27 * D * a * a, 1, sq):
-                for b in range(-bmax, bmax + 1):
-                    r = b * b - P
-                    if r % (3 * a) == 0 and r <= 3 * a * abs(b):
-                        yield from _forms_at(a, b, P, G)
     else:
-        Dm = -D
-        amax = iroot(16 * Dm // 27, 4) + 1
-        t4 = iroot(Dm // 3, 4) + 1
-        for a in range(1, amax + 1):
+        t4 = iroot(-D // 3, 4) + 1
+        amax = iroot(-16 * D // 27, 4) + 1
+    ranges, total = [], 0
+    for a in range(1, amax + 1):
+        if D > 0:
+            bmax = (3 * a + isqrt(9 * a * a + 4 * sq)) // 2 + 1
+            lo, hi, span = 1, sq, None
+        else:
             bmax = (3 * a) // 2 + t4 + 1
-            cmax = iroot(Dm // (4 * a), 3) + a + t4 + 2
-            span = 3 * a * cmax
-            for P, G in cubic_square_points(27 * D * a * a, -span,
-                                            bmax * bmax + span):
-                for b in range(-bmax, bmax + 1):
-                    r = b * b - P
-                    if r % (3 * a) == 0 and abs(r) <= span:
-                        yield from _forms_at(a, b, P, G)
+            span = 3 * a * (iroot(-D // (4 * a), 3) + a + t4 + 2)
+            lo, hi = -span, bmax * bmax + span
+        lo = max(lo, least_cube_index(27 * D * a * a))
+        total += max(hi + 1 - lo, 0)
+        if total > ENUMERATION_BUDGET:
+            raise EnumerationBudgetExceeded(
+                f"the class enumeration for D = {D} would sieve more than "
+                f"{ENUMERATION_BUDGET} values (a <= {a} of {amax})")
+        ranges.append((a, bmax, lo, hi, span))
+    return ranges
 
 
 def _validate_enum_disc(D: int):

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps ValidationError to exit code 2, InconsistencyError to 3 and
-FactorizationBudgetExceeded to 4.  A condition has a class of its own only
+BudgetExceeded to 4.  A condition has a class of its own only
 where a caller or a test tells it apart; every other one raises the base
 class with a message that names the condition, which the CLI prints with
 the class name.
@@ -20,6 +20,10 @@ class InconsistencyError(DescentError):
     """An internal cross-check failed; maps to CLI exit code 3."""
 
 
+class BudgetExceeded(DescentError):
+    """A computation gave up within its budget; maps to CLI exit code 4."""
+
+
 # --- arithmetic layer ---
 
 class ZeroInput(ValidationError):
@@ -30,7 +34,7 @@ class BadPrime(ValidationError):
     pass
 
 
-class FactorizationBudgetExceeded(DescentError):
+class FactorizationBudgetExceeded(BudgetExceeded):
     """Factoring gave up within the effort budget; caller decides what to do."""
 
 
@@ -62,6 +66,10 @@ class NotOnNormEquation(ValidationError):
 
 class DiscriminantMismatch(ValidationError):
     pass
+
+
+class EnumerationBudgetExceeded(BudgetExceeded):
+    """The class enumeration would sieve more values than its budget."""
 
 
 # --- Mordell curves / descent ---

@@ -10,8 +10,8 @@ cubing.  No floating point anywhere.
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import (cube_root_exact, factorize, integer_roots_monic_cubic,
-                    is_cubic_residue, is_perfect_square)
+from .arith import (cube_root_exact, cubic_character, factorize,
+                    integer_roots_monic_cubic, is_perfect_square)
 from .errors import (FieldMismatch, NotOnNormEquation, ValidationError,
                      ZeroInput)
 
@@ -164,6 +164,6 @@ def yamamoto_nonprincipal(x: int, y: int, z: int, D_M: int) -> bool:
     if abs(x) <= 1:
         return False
     for l in factorize(x):
-        if l % 3 == 1 and not is_cubic_residue(y, l):
+        if l % 3 == 1 and cubic_character(y, l):
             return True
     return False

@@ -57,42 +57,13 @@ def honda_divisible_by_3(m: int, n: int) -> bool:
     return True
 
 
-@dataclass
-class ScanSummary:
-    emitted: int = 0
-    gcd_rejected: int = 0
-    not_squarefree: int = 0
-    degenerate: int = 0
-    sign_filtered: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def scan(m_range, n_range, sign_filter: int | None = None,
-         summary: ScanSummary | None = None):
-    """Yield every valid seed in the box, m outer ascending, n inner ascending.
-
-    Invalid pairs are skipped and tallied in `summary` when one is supplied.
-    sign_filter: +1 keeps D > 0, -1 keeps D < 0, None keeps both.
-    """
-    if summary is None:
-        summary = ScanSummary()
+def scan(m_range, n_range):
+    """Yield every valid seed in the box, m outer ascending, n inner
+    ascending; invalid pairs are skipped."""
     for m in m_range:
         for n in n_range:
             try:
                 seed = make_seed(m, n)
-            except GcdViolation:
-                summary.gcd_rejected += 1
+            except (GcdViolation, DegenerateDiscriminant, NotSquarefree):
                 continue
-            except DegenerateDiscriminant:
-                summary.degenerate += 1
-                continue
-            except NotSquarefree:
-                summary.not_squarefree += 1
-                continue
-            if sign_filter is not None and seed.D * sign_filter < 0:
-                summary.sign_filtered += 1
-                continue
-            summary.emitted += 1
             yield seed

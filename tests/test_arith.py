@@ -5,10 +5,10 @@ import random
 import pytest
 import sympy
 
-from descent3.arith import (bit_indices, cube_root_exact, divisors,
-                            factorize, integer_roots_monic_cubic, iroot,
-                            is_cubic_residue, is_perfect_square,
-                            is_squarefree, squarefree_status)
+from descent3.arith import (bit_indices, cube_root_exact, cubic_character,
+                            divisors, factorize, integer_roots_monic_cubic,
+                            iroot, is_perfect_square, is_squarefree,
+                            squarefree_status)
 from descent3.errors import BadPrime
 from helpers import primes_upto, rational_roots
 
@@ -127,15 +127,22 @@ def test_rational_roots_matches_sympy():
 
 
 def test_is_cubic_residue_exhaustive():
+    # the cubic character kills exactly the cubes
     for p in (7, 13, 31, 61):
         cubes = {pow(z, 3, p) for z in range(1, p)}
         for y in range(1, p):
-            assert is_cubic_residue(y, p) == (y in cubes), (y, p)
+            assert (cubic_character(y, p) == 0) == (y in cubes), (y, p)
 
 
 def test_is_cubic_residue_rejects_wrong_modulus():
+    # l is checked on every call, also for a y whose power is 1 mod l:
+    # 5 is not 1 mod 3, and 4 and 91 = 7 * 13 are composite
+    for l in (5, 4, 91):
+        for y in (1, 2):
+            with pytest.raises(BadPrime):
+                cubic_character(y, l)
     with pytest.raises(BadPrime):
-        is_cubic_residue(2, 5)
+        cubic_character(14, 7)
 
 
 def test_bit_indices_matches_a_bin_walk():

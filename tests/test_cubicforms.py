@@ -16,8 +16,8 @@ from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
                       psi_prime, reduce, same_cubic_field, scan, syzygy_pair,
                       syzygy_point)
 from descent3.cubicforms import candidate_forms
-from descent3.errors import (DiscriminantMismatch, InconsistencyError,
-                             OffCurve, ValidationError)
+from descent3.errors import (DiscriminantMismatch, EnumerationBudgetExceeded,
+                             InconsistencyError, OffCurve, ValidationError)
 from helpers import rational_roots
 
 
@@ -305,6 +305,34 @@ def test_candidates_match_box_walk_on_anchors_and_scan_boxes():
     assert len(discs) > 150
     for D in sorted(discs, key=abs):
         assert _same_candidates(D), D
+
+
+@pytest.mark.parametrize("D", [-23, 1129, -31999])
+def test_sieve_ranges_count_the_values_candidate_forms_sieves(D, monkeypatch):
+    # the widths sieve_ranges adds up are the values of s with 4s^3 >= c
+    # in the ranges candidate_forms hands to the sieve, counted one by one;
+    # a budget one short of that sum stops the enumeration before it sieves
+    ranges = cubicforms.sieve_ranges(D)
+    predicted = sum(max(hi + 1 - lo, 0) for _, _, lo, hi, _ in ranges)
+    calls = []
+    real = cubicforms.cubic_square_points
+
+    def spy(c, lo, hi):
+        calls.append((c, lo, hi))
+        return real(c, lo, hi)
+
+    monkeypatch.setattr(cubicforms, "cubic_square_points", spy)
+    list(candidate_forms(D))
+    assert len(calls) == len(ranges)
+    assert predicted == sum(1 for c, lo, hi in calls
+                            for s in range(lo, hi + 1) if 4 * s**3 >= c)
+    monkeypatch.setattr(cubicforms, "ENUMERATION_BUDGET", predicted)
+    assert cubicforms.enumerate_classes(D)
+    monkeypatch.setattr(cubicforms, "ENUMERATION_BUDGET", predicted - 1)
+    calls.clear()
+    with pytest.raises(EnumerationBudgetExceeded):
+        cubicforms.enumerate_classes(D)
+    assert calls == []
 
 
 def test_candidates_match_box_walk_on_random_family():

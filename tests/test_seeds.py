@@ -5,7 +5,6 @@ import pytest
 from descent3 import disc_value, honda_divisible_by_3, make_seed, scan
 from descent3.errors import (DegenerateDiscriminant, GcdViolation,
                              NotSquarefree)
-from descent3.seeds import ScanSummary
 
 
 def test_disc_value_formula():
@@ -66,22 +65,9 @@ def test_degenerate_values_unreachable():
 
 
 def test_scan_counts_and_values():
-    summ = ScanSummary()
-    rows = list(scan(range(1, 4), range(1, 4), summary=summ))
+    rows = list(scan(range(1, 4), range(1, 4)))
     assert [(s.m, s.n, s.D) for s in rows] == \
         [(1, 1, -23), (1, 3, -239), (2, 1, 5), (2, 3, -211)]
-    assert summ.emitted == 4
-    assert summ.gcd_rejected == 5
-    total = summ.emitted + summ.gcd_rejected + summ.not_squarefree \
-        + summ.degenerate + summ.sign_filtered
-    assert total == 9
-
-
-def test_scan_sign_filter():
-    neg = list(scan(range(1, 4), range(1, 4), sign_filter=-1))
-    assert all(s.D < 0 for s in neg)
-    pos = list(scan(range(1, 4), range(1, 4), sign_filter=1))
-    assert [(s.m, s.n) for s in pos] == [(2, 1)]
 
 
 def test_honda_criterion_examples():

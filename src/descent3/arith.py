@@ -7,6 +7,7 @@ survivor is checked exactly before it is returned.
 """
 
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, prod
 
 import sympy
@@ -15,16 +16,13 @@ from .errors import BadPrime, FactorizationBudgetExceeded, ZeroInput
 
 # Trial division bound used before the rho fallback kicks in.
 TRIAL_BOUND = 10**6
+# Rho iterations spent on one number before factoring gives up.
+RHO_BUDGET = 10**7
 
-_small_primes: list[int] | None = None
 
-
-def small_primes() -> list[int]:
-    """Primes up to TRIAL_BOUND, sieved once and cached."""
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = list(sympy.sieve.primerange(2, TRIAL_BOUND + 1))
-    return _small_primes
+def is_prime(n: int) -> bool:
+    """Exact primality test; the package's one call into sympy."""
+    return sympy.isprime(n)
 
 
 def iroot(n: int, k: int) -> int:
@@ -70,9 +68,9 @@ def cube_root_exact(n: int):
     return r if n > 0 else -r
 
 
-def _pollard_rho(n: int, budget: int) -> int | None:
+def _pollard_rho(n: int) -> int | None:
     """Brent's rho.  Returns a nontrivial factor of composite n, or None
-    once the iteration budget runs out."""
+    once RHO_BUDGET iterations are spent."""
     if n % 2 == 0:
         return 2
     spent = 0
@@ -92,7 +90,7 @@ def _pollard_rho(n: int, budget: int) -> int | None:
                 k += min(m, r - k)
                 g = gcd(q, n)
                 spent += min(m, r - k) + 1
-                if spent > budget:
+                if spent > RHO_BUDGET:
                     return None
             r *= 2
         if g == n:
@@ -105,91 +103,84 @@ def _pollard_rho(n: int, budget: int) -> int | None:
     return None
 
 
-def factorize(n: int, budget: int = 10**6) -> dict[int, int]:
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """({p: e}, rest) with n = rest * prod p^e for n >= 1, where rest is 1
+    or exceeds TRIAL_BOUND^2 and has no prime factor up to TRIAL_BOUND.
+
+    The divisors are 2 and the odd d up to min(isqrt(n), TRIAL_BOUND); a
+    composite d never divides, as its primes are out by then.  After a hit
+    the loop stops once d^2 exceeds what is left, which is then 1 or a
+    prime; so is anything left at or below TRIAL_BOUND^2, and a prime
+    joins the factors."""
+    out = {}
+    for d in chain((2,), range(3, min(isqrt(n), TRIAL_BOUND) + 1, 2)):
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out[d] = e
+            if d * d > n:
+                break
+    if 1 < n <= TRIAL_BOUND**2:
+        out[n], n = 1, 1
+    return out, n
+
+
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {p: e}.  Raises ZeroInput on 0 and
     FactorizationBudgetExceeded if the rho fallback gives up."""
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in small_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
+    out, rest = _trial_divide(abs(n))
+    stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if sympy.isprime(m):
+        if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         r = isqrt(m)
         if r * r == m:
             stack.extend([r, r])
             continue
-        f = _pollard_rho(m, budget)
+        f = _pollard_rho(m)
         if f is None or f in (1, m):
             raise FactorizationBudgetExceeded(f"gave up factoring {m}")
         stack.extend([f, m // f])
     return out
 
 
-def divisors(n: int, budget: int = 10**6) -> list[int]:
+def divisors(n: int) -> list[int]:
     """Positive divisors of |n|, sorted ascending."""
-    fac = factorize(n, budget)
     out = [1]
-    for p, e in fac.items():
+    for p, e in factorize(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
-def squarefree_status(n: int, budget: int = 10**5) -> bool | None:
-    """True / False / None (= could not decide within the effort budget)."""
+def is_squarefree(n: int) -> bool:
+    """Exact squarefree test; treats n and -n alike.  Raises ZeroInput on 0
+    and FactorizationBudgetExceeded if the rho fallback gives up."""
     if n == 0:
         raise ZeroInput("squarefree is undefined for 0")
-    n = abs(n)
-    if n == 1:
-        return True
-    for p in small_primes():
-        if p * p > n:
-            break
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-    if n == 1 or n <= TRIAL_BOUND:
-        return True
-    if sympy.isprime(n):
-        return True
-    r = isqrt(n)
-    if r * r == n:
+    small, rest = _trial_divide(abs(n))
+    if any(e > 1 for e in small.values()):
         return False
-    if n < TRIAL_BOUND**3:
-        # no factor <= TRIAL_BOUND and not a square: n = p or p*q, distinct
+    if rest == 1 or is_prime(rest):
         return True
-    try:
-        fac = factorize(n, budget)
-    except FactorizationBudgetExceeded:
-        return None
-    return all(e == 1 for e in fac.values())
-
-
-def is_squarefree(n: int) -> bool:
-    """Exact squarefree test; treats n and -n alike.  Raises ZeroInput on 0."""
-    st = squarefree_status(n, budget=10**7)
-    if st is None:
-        raise FactorizationBudgetExceeded(f"squarefree test on {n} gave up")
-    return st
+    if is_perfect_square(rest):
+        return False
+    # no factor <= TRIAL_BOUND and not a square: below TRIAL_BOUND^3 the
+    # rest is p*q with p != q
+    return (rest < TRIAL_BOUND**3
+            or all(e == 1 for e in factorize(rest).values()))
 
 
 @lru_cache(maxsize=None)
 def _unity_cube_root(l: int) -> int:
     """The primitive cube root of unity a^((l-1)/3) mod l for the least
     a >= 2 that is not a cube mod l; fixed per l, so characters agree."""
-    if not sympy.isprime(l) or l % 3 != 1:
+    if not is_prime(l) or l % 3 != 1:
         raise BadPrime(f"{l} is not a prime = 1 (mod 3)")
     a = 2
     while pow(a, (l - 1) // 3, l) == 1:

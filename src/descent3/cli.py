@@ -47,9 +47,9 @@ def _add_options(p: argparse.ArgumentParser, flags):
     opt("--jobs", type=int, default=1, help="parallel workers")
 
 
-def _recover_seed(disc: int, search: int = 10**4):
-    """(m, n) with 4m^3 - 27n^2 = disc, smallest odd n first."""
-    for n in range(1, search + 1, 2):
+def _recover_seed(disc: int):
+    """(m, n) with 4m^3 - 27n^2 = disc, smallest odd n <= 10^4 first."""
+    for n in range(1, 10**4 + 1, 2):
         t = disc + 27 * n * n
         if t % 4:
             continue
@@ -61,7 +61,7 @@ def _recover_seed(disc: int, search: int = 10**4):
             return make_seed(m, n)
         except ValidationError:
             continue
-    raise ValidationError(f"no valid (m, n) with D = {disc} and n <= {search}")
+    raise ValidationError(f"no valid (m, n) with D = {disc} and n <= 10000")
 
 
 def _seed_from_args(args):

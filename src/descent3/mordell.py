@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import (cubic_character, cubic_square_points,
-                    integer_roots_monic_cubic)
+                    integer_roots_monic_cubic, is_prime)
 from .errors import (CurveMismatch, OffCurve, PreimageMissing,
                      ValidationError, ZeroInput)
 from .quadfield import QuadElem, is_cube
@@ -298,12 +298,11 @@ def _split_characters(d: int, norms: list[int]):
     norms, d a square mod l, and both roots r of r^2 = d (mod l).  The
     ring map sqrt(d) -> r sends every element whose norm is prime to l to
     (Z/l)*, so each character is a homomorphism that kills the cubes.
-    As l stays in the hundreds, trial division tests it and r is the
-    least root, found by a scan."""
+    The l run through 7, 13, 19, ... and arith.is_prime tests each; as l
+    stays in the hundreds, r is the least root, found by a scan."""
     l = 7
     while True:
-        if (d % l and pow(d, (l - 1) // 2, l) == 1
-                and all(l % p for p in range(5, isqrt(l) + 1, 2))
+        if (d % l and pow(d, (l - 1) // 2, l) == 1 and is_prime(l)
                 and all(N % l for N in norms)):
             r = next(r for r in range(1, l) if (r * r - d) % l == 0)
             yield l, r

@@ -125,9 +125,9 @@ def check_table_1() -> list:
     return problems
 
 
-def _check_stat_rows(table, stats, rows=None) -> list:
+def _check_stat_rows(table, stats) -> list:
     problems = []
-    for m, n, D in (table if rows is None else rows):
+    for m, n, D in table:
         r3 = r3_from_fields(D)
         if r3 != stats["r3"]:
             problems.append(f"({m}, {n}): r3 = {r3}, expected {stats['r3']}")
@@ -146,15 +146,15 @@ def _check_stat_rows(table, stats, rows=None) -> list:
     return problems
 
 
-def check_table_3(rows=None) -> list:
+def check_table_3() -> list:
     """r3 = 2 for each row, and the printed rank/Sha[3] pair is the
     parity-conditional consequence of the recomputed monic data."""
-    return _check_stat_rows(TABLE_3, TABLE_3_STATS, rows)
+    return _check_stat_rows(TABLE_3, TABLE_3_STATS)
 
 
-def check_table_4(rows=None) -> list:
+def check_table_4() -> list:
     """Same for the positive-discriminant list (r3 = 1, rank 1, sha3 2)."""
-    return _check_stat_rows(TABLE_4, TABLE_4_STATS, rows)
+    return _check_stat_rows(TABLE_4, TABLE_4_STATS)
 
 
 def check_forms() -> list:

@@ -119,7 +119,7 @@ def test_criterion_5_isogeny_identities(capsys):
 def test_criterion_6_selmer_rank_tables(capsys):
     def body():
         assert check_table_4() == []                   # all 12 rows
-        assert check_table_3(rows=TABLE_3[:6]) == []   # >= 5 sampled rows
+        assert check_table_3() == []                   # all 39 rows
         for (m, n, D) in TABLE_4:
             assert selmer_ranks(D, 1) == (1, 2)
         pts = search_monic_points(1129, 1000)
@@ -128,7 +128,7 @@ def test_criterion_6_selmer_rank_tables(capsys):
         rep = build_report(make_seed(7, 3))
         assert "conditional" in rep.parity_note
         assert rep.provenance
-        return "12 rows at (1,2), 6 rows at r3 = 2, flags conditional"
+        return "12 rows at (1,2), 39 rows at r3 = 2, flags conditional"
     _criterion(capsys, 6, "Selmer and rank tables", None, body)
 
 

@@ -1,14 +1,16 @@
 """Integer utilities checked against sympy and brute force."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 import sympy
 
-from descent3.arith import (bit_indices, cube_root_exact, cubic_character,
-                            divisors, factorize, integer_roots_monic_cubic,
-                            iroot, is_perfect_square, is_squarefree,
-                            squarefree_status)
+from descent3.arith import (TRIAL_BOUND, bit_indices, cube_root_exact,
+                            cubic_character, divisors, factorize,
+                            integer_roots_monic_cubic, iroot,
+                            is_perfect_square, is_squarefree)
 from descent3.errors import BadPrime
 from helpers import primes_upto, rational_roots
 
@@ -65,9 +67,61 @@ def test_is_squarefree_sieve_oracle():
         assert is_squarefree(-n) == squarefree[n], -n
 
 
-def test_squarefree_status_honest():
-    assert squarefree_status(10**2 * 7) is False
-    assert squarefree_status(-23) is True
+def test_is_squarefree_both_signs():
+    assert is_squarefree(10**2 * 7) is False
+    assert is_squarefree(-23) is True
+
+
+def test_cofactor_rules_against_sympy():
+    # each rule for the cofactor left by trial division up to TRIAL_BOUND:
+    # up to TRIAL_BOUND^2 it is prime, a square is not squarefree, below
+    # TRIAL_BOUND^3 it is a product of two distinct primes, and past that
+    # rho splits it
+    p, q = 1000003, 1000033               # the first primes above 10^6
+    assert sympy.prevprime(p) < TRIAL_BOUND < p < q == sympy.nextprime(p)
+    cases = {
+        p * q: True,
+        p * p: False,
+        999999999989: True,               # the largest prime below 10^12
+        1000000000039: True,              # the least prime above 10^12
+        999983**2 * p: False,             # 999983 is the largest below 10^6
+        9999999967 * 10000000019: True,   # past TRIAL_BOUND^3: rho
+        p * p * q: False,                 # past TRIAL_BOUND^3, not a square
+    }
+    for n, squarefree in cases.items():
+        expect = sympy.factorint(n)
+        assert all(e == 1 for e in expect.values()) == squarefree, n
+        for v in (n, -n):
+            assert factorize(v) == expect, v
+            assert is_squarefree(v) is squarefree, v
+
+
+def test_only_arith_is_prime_names_sympy():
+    # sympy stays behind one function, so replacing it touches one body
+    src = Path(__file__).resolve().parents[1] / "src" / "descent3"
+    paths = sorted(src.glob("*.py"))
+    assert src / "arith.py" in paths
+    stray = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [(a.name, a.asname) for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [(node.module or "", "from")]
+            else:
+                mods = []
+            stray += [(path.name, node.lineno, mod) for mod, alias in mods
+                      if mod.split(".")[0] == "sympy"
+                      and (path.stem, mod, alias) != ("arith", "sympy", None)]
+            if (path.stem == "arith" and isinstance(node, ast.FunctionDef)
+                    and node.name == "is_prime"):
+                allowed |= {id(n) for n in ast.walk(node)}
+        stray += [(path.name, n.lineno, n.id) for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and n.id == "sympy"
+                  and id(n) not in allowed]
+    assert stray == []
 
 
 def test_is_perfect_square():

@@ -343,7 +343,7 @@ def test_factorization_budget_exit_4(monkeypatch, capsys):
     import descent3.report as report
     from descent3.errors import FactorizationBudgetExceeded
 
-    def give_up(n, budget=10**6):
+    def give_up(n):
         raise FactorizationBudgetExceeded(f"gave up factoring {n}")
 
     # the class-group cross-check factors the class number (3 for D = -23)

@@ -33,5 +33,5 @@ def test_check_table_4_all_rows():
     assert check_table_4() == []
 
 
-def test_check_table_3_sampled_rows():
-    assert check_table_3(rows=TABLE_3[:6]) == []
+def test_check_table_3_all_rows():
+    assert check_table_3() == []

@@ -158,9 +158,12 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+@lru_cache(maxsize=1024)
 def is_squarefree(n: int) -> bool:
     """Exact squarefree test; treats n and -n alike.  Raises ZeroInput on 0
-    and FactorizationBudgetExceeded if the rho fallback gives up."""
+    and FactorizationBudgetExceeded if the rho fallback gives up.  The seed,
+    the class enumeration and the class group each test the same D, so
+    the answer is kept."""
     if n == 0:
         raise ZeroInput("squarefree is undefined for 0")
     small, rest = _trial_divide(abs(n))

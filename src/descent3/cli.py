@@ -9,17 +9,17 @@ out (factoring or the class enumeration gave up).
 
 import argparse
 import json
-import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from functools import partial
 
-from . import __version__
 from .arith import iroot
 from .errors import BudgetExceeded, InconsistencyError, ValidationError
-from .report import (build_report, report_csv_header, report_from_json,
-                     report_to_csv, report_to_json)
+from .report import (INT_FIELDS, SETTINGS, build_report, record_key,
+                     report_csv_header, report_from_json, report_to_csv,
+                     report_to_json, seed_key)
 from .seeds import make_seed, scan as seed_scan
 from . import tables
 
@@ -75,14 +75,8 @@ def _seed_from_args(args):
     return _recover_seed(args.disc)
 
 
-# --- cache ---
-#
-# A record is keyed on D, on the package version and on the settings its
-# provenance names, so a report made by other code, under other bounds or
-# without Hasse verdicts is a miss and is recomputed, never replayed as if
-# it answered this run.
+# --- cache: records keyed by report.record_key; a bad one is recomputed ---
 
-_SETTINGS = ("rep_bound", "point_bound", "global_bound")
 _UNREADABLE = (ValueError, KeyError, TypeError, ZeroDivisionError,
                ValidationError)
 
@@ -90,28 +84,21 @@ _UNREADABLE = (ValueError, KeyError, TypeError, ZeroDivisionError,
 def _settings(args) -> dict:
     """The bounds and budgets the subcommand has, by their build_report
     names, after checking that each of them and --jobs is positive."""
-    settings = {k: getattr(args, k) for k in (*_SETTINGS, "jobs")
-                if hasattr(args, k)}
-    for name, value in settings.items():
-        if value < 1:
+    for name in (*SETTINGS, "jobs"):
+        if getattr(args, name, 1) < 1:
             raise ValidationError(f"{name} must be positive")
-    settings.pop("jobs", None)
-    return settings
+    return {k: getattr(args, k) for k in SETTINGS if hasattr(args, k)}
 
 
-def _cache_key(D: int, kwargs: dict) -> tuple:
-    """The key of a report on D made by build_report(**kwargs): D, the
-    version and the settings spelled as the report's provenance spells
-    them."""
-    return (D, __version__, *(str(kwargs[k]) for k in _SETTINGS),
-            "computed" if kwargs["run_hasse"] else "skipped")
-
-
-def _record_key(record: dict) -> tuple:
-    prov = record["provenance"]
-    return (int(record["seed"]["disc"]), prov.get("version"),
-            *(prov[k] for k in _SETTINGS),
-            prov["hasse"])
+def _cache_open(path: str | None):
+    """The cache file, opened to read and append, or a null context when
+    there is none; a path that cannot be opened is bad input."""
+    if not path:
+        return nullcontext()
+    try:
+        return open(path, "ab+")
+    except OSError as e:
+        raise ValidationError(f"cannot open cache {path}: {e.strerror}")
 
 
 def _skip_line(path: str, lineno: int):
@@ -119,60 +106,43 @@ def _skip_line(path: str, lineno: int):
           file=sys.stderr)
 
 
-def _cache_load(path: str | None) -> dict:
-    """{key: (lineno, line)} of the records in the cache file."""
-    if not path:
-        return {}
+def _cache_load(fh, path: str | None) -> dict:
+    """{key: (lineno, line)} of the records in the cache file.  A torn
+    last write lacks its newline; it gets one, so that the next record
+    does not run on from it."""
     out = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out[_record_key(json.loads(line))] = lineno, line
-                except _UNREADABLE:
-                    # a torn or foreign line: recompute rather than crash
-                    _skip_line(path, lineno)
-    except FileNotFoundError:
-        pass
+    fh.seek(0)
+    line = b"\n"
+    for lineno, line in enumerate(fh, 1):
+        if not line.strip():
+            continue
+        try:
+            out[record_key(json.loads(line))] = lineno, line
+        except _UNREADABLE:
+            # a torn or foreign line: recompute rather than crash
+            _skip_line(path, lineno)
+    if not line.endswith(b"\n"):
+        fh.write(b"\n")
+        fh.flush()
     return out
 
 
-def _cache_hit(cache: dict, key: tuple, path: str | None):
-    """The report cached under key, or None.  A record whose key parses
-    but whose body does not is a miss too."""
+def _cache_hit(cache: dict, seed, kwargs: dict, path: str | None):
+    """The report on seed cached under these settings, or None.  A record
+    whose key parses but whose body does not is a miss too."""
+    key = seed_key(seed, **kwargs)
     if key in cache:
         lineno, line = cache[key]
         try:
             rep = report_from_json(line)
-            print(f"cache hit D = {key[0]}", file=sys.stderr)
-            return rep
         except _UNREADABLE:
             _skip_line(path, lineno)
-
-
-def _cache_append(path: str | None, line: str):
-    if not path:
-        return
-    with open(path, "ab+") as fh:
-        end = fh.seek(0, os.SEEK_END)
-        if end:
-            # a torn last write lacks its newline; end it so that this
-            # record does not run on from it
-            fh.seek(end - 1)
-            if fh.read(1) != b"\n":
-                fh.write(b"\n")
-        fh.write(line.encode() + b"\n")
+            return None
+        print(f"cache hit D = {seed.D}", file=sys.stderr)
+        return rep
 
 
 # --- subcommands ---
-
-def _build_line(payload):
-    m, n, kwargs = payload
-    return report_to_json(build_report(make_seed(m, n), **kwargs))
-
 
 def _print_reports(args, seeds, filters=()) -> int:
     """Print the report of each seed, in order and in args.fmt, that
@@ -181,34 +151,23 @@ def _print_reports(args, seeds, filters=()) -> int:
     processes when there are several, and appended to the cache."""
     kwargs = dict(_settings(args), run_hasse=args.hasse)
     jobs = getattr(args, "jobs", 1)
-    seeds = list(seeds)
-    cache = _cache_load(args.cache)
-    todo, lines, reps = [], {}, {}
-    for seed in seeds:
-        key = _cache_key(seed.D, kwargs)
-        rep = _cache_hit(cache, key, args.cache)
-        if rep is None:
-            todo.append((seed.m, seed.n, kwargs))
-        else:
-            reps[seed.m, seed.n], lines[seed.m, seed.n] = rep, cache[key][1]
+    with _cache_open(args.cache) as fh:
+        cache = _cache_load(fh, args.cache) if fh else {}
+        reps = {seed: _cache_hit(cache, seed, kwargs, args.cache)
+                for seed in seeds}
+        todo = [seed for seed, rep in reps.items() if rep is None]
+        parallel = jobs > 1 and len(todo) > 1
+        with ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
+            built = (pool.map if parallel else map)(
+                partial(build_report, **kwargs), todo)
+            for seed, rep in zip(todo, built):
+                reps[seed] = rep
+                if fh:
+                    fh.write(report_to_json(rep).encode() + b"\n")
+                    fh.flush()
 
-    parallel = jobs > 1 and len(todo) > 1
-    with ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
-        built = (pool.map if parallel else map)(_build_line, todo)
-        for (m, n, _), line in zip(todo, built):
-            lines[m, n] = line
-            _cache_append(args.cache, line)
-
-    # A fresh line is the serialization of a report just built, so it is
-    # parsed only when a filter or the format needs the object.  A cached
-    # line was parsed on lookup: that is how a bad record gets caught.
-    need_rep = bool(filters) or args.fmt != "json"
     first = True
-    for seed in seeds:                      # normalized emission order
-        line = lines[seed.m, seed.n]
-        rep = reps.get((seed.m, seed.n))
-        if rep is None and need_rep:
-            rep = report_from_json(line)
+    for rep in reps.values():               # normalized emission order
         if not all(f(rep) for f in filters):
             continue
         if args.fmt == "csv":
@@ -220,7 +179,7 @@ def _print_reports(args, seeds, filters=()) -> int:
                 print()
             print(rep)
         else:
-            print(line)
+            print(report_to_json(rep))
         first = False
     return 0
 
@@ -230,17 +189,14 @@ def cmd_analyze(args) -> int:
 
 
 _FILTER_RX = re.compile(r"^\s*(\w+)\s*(>=|<=|==|!=|>|<)\s*(-?\d+)\s*$")
-_FILTER_FIELDS = ("r3", "r3_monic_lb", "selmer_lambda", "selmer_lambda_dual",
-                  "dim_quotient_lambda", "dim_mod_3", "rank_lb", "rank_ub",
-                  "sha_lambda_rank_conditional")
 
 
 def _parse_filter(text: str):
     m = _FILTER_RX.match(text)
-    if not m or m.group(1) not in _FILTER_FIELDS:
+    if not m or m.group(1) not in INT_FIELDS:
         raise ValidationError(
             f"bad filter {text!r}; use <field> <op> <int> with field in "
-            f"{_FILTER_FIELDS}")
+            f"{INT_FIELDS}")
     field, op, val = m.group(1), m.group(2), int(m.group(3))
     ops = {">=": lambda a: a >= val, "<=": lambda a: a <= val,
            "==": lambda a: a == val, "!=": lambda a: a != val,

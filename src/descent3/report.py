@@ -19,7 +19,7 @@ is a theorem.  Everything resting on finiteness of Sha[3^oo] is labeled so.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import __version__
@@ -282,6 +282,11 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
+# the integer fields, in declaration order: JSON writes them as decimal
+# strings, the CSV row carries them and `scan --filter` compares them
+INT_FIELDS = tuple(f.name for f in fields(AnalysisReport) if f.type is int)
+
+
 def _upper(S: CurvePoint) -> CurvePoint:
     """S or -S, whichever has Y > 0 (Y = 0 would make 432D a cube).
     psi'(-S) is the inverse class of psi'(S), so a span needs only one of
@@ -357,12 +362,29 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
             C = HomogeneousSpace(F, seed)
             hasse.append(hasse_verdict(C, rep, global_bound=global_bound))
 
-    provenance = {
+    return AnalysisReport(
+        seed=seed, r3=r3, classes=list(classes), monic_flags=monic_flags,
+        r3_monic_lb=r3_monic_lb, selmer_lambda=selmer_l,
+        selmer_lambda_dual=selmer_ld, points=list(points),
+        dim_quotient_lambda=dim_quotient_lambda, dim_mod_3=dim_mod_3,
+        rank_lb=rank_lb, rank_ub=rank_ub,
+        sha_lambda_rank_conditional=r3 - r3_monic_lb,
+        parity_note=parity_note, hasse=hasse,
+        provenance=_provenance(rep_bound=rep_bound, point_bound=point_bound,
+                               global_bound=global_bound, run_hasse=run_hasse,
+                               class_group=oracle_note))
+
+
+def _provenance(*, rep_bound: int, point_bound: int, global_bound: int,
+                run_hasse: bool, class_group: str = "") -> dict:
+    """The provenance of a report made under these settings; the class
+    group note is left empty where only the cache key is wanted."""
+    return {
         "version": __version__,
         "rep_bound": str(rep_bound),
         "point_bound": str(point_bound),
         "global_bound": str(global_bound),
-        "class_group": oracle_note,
+        "class_group": class_group,
         "monic_search": "bounded; r3(monic) and Sha[lambda] rank are "
                         "exact only if both monic searches are exhaustive",
         "conditional": "rank bounds, parity branch, and Sha entries assume "
@@ -371,14 +393,25 @@ def build_report(seed: DiscriminantSeed, *, rep_bound: int = 10**3,
         "hasse": "computed" if run_hasse else "skipped",
     }
 
-    return AnalysisReport(
-        seed=seed, r3=r3, classes=list(classes), monic_flags=monic_flags,
-        r3_monic_lb=r3_monic_lb, selmer_lambda=selmer_l,
-        selmer_lambda_dual=selmer_ld, points=list(points),
-        dim_quotient_lambda=dim_quotient_lambda, dim_mod_3=dim_mod_3,
-        rank_lb=rank_lb, rank_ub=rank_ub,
-        sha_lambda_rank_conditional=r3 - r3_monic_lb,
-        parity_note=parity_note, hasse=hasse, provenance=provenance)
+
+# the bounds of build_report, by the names its provenance gives them
+SETTINGS = ("rep_bound", "point_bound", "global_bound")
+
+
+def record_key(obj: dict) -> tuple:
+    """The cache key of a report JSON object: its seed (m, n), and the
+    version and settings its provenance names.  A record of another seed,
+    version or settings, or with no version, is then a miss."""
+    seed, provenance = obj["seed"], obj["provenance"]
+    return (int(seed["m"]), int(seed["n"]),
+            *(provenance.get(k) for k in ("version", *SETTINGS, "hasse")))
+
+
+def seed_key(seed: DiscriminantSeed, **settings) -> tuple:
+    """The cache key of build_report(seed, **settings), every setting
+    given."""
+    return record_key({"seed": {"m": seed.m, "n": seed.n},
+                       "provenance": _provenance(**settings)})
 
 
 # --- serialization: JSON (ints as decimal strings) and a CSV row ---
@@ -403,25 +436,19 @@ def _verdict_obj(v: Genus1Verdict):
 
 
 def report_to_json_dict(rep: AnalysisReport) -> dict:
+    """The report's fields in declaration order, every int a decimal
+    string."""
+    obj = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    obj.update({k: str(obj[k]) for k in INT_FIELDS})
     seed = rep.seed
-    return {
-        "seed": {"m": str(seed.m), "n": str(seed.n), "disc": str(seed.D)},
-        "r3": str(rep.r3),
-        "classes": [[str(c) for c in F.coeffs()] for F in rep.classes],
-        "monic_flags": list(rep.monic_flags),
-        "r3_monic_lb": str(rep.r3_monic_lb),
-        "selmer_lambda": str(rep.selmer_lambda),
-        "selmer_lambda_dual": str(rep.selmer_lambda_dual),
-        "points": [_point_obj(P) for P in rep.points],
-        "dim_quotient_lambda": str(rep.dim_quotient_lambda),
-        "dim_mod_3": str(rep.dim_mod_3),
-        "rank_lb": str(rep.rank_lb),
-        "rank_ub": str(rep.rank_ub),
-        "sha_lambda_rank_conditional": str(rep.sha_lambda_rank_conditional),
-        "parity_note": rep.parity_note,
-        "hasse": [_verdict_obj(v) for v in rep.hasse],
-        "provenance": dict(rep.provenance),
-    }
+    obj.update(
+        seed={"m": str(seed.m), "n": str(seed.n), "disc": str(seed.D)},
+        classes=[[str(c) for c in F.coeffs()] for F in rep.classes],
+        monic_flags=list(rep.monic_flags),
+        points=[_point_obj(P) for P in rep.points],
+        hasse=[_verdict_obj(v) for v in rep.hasse],
+        provenance=dict(rep.provenance))
+    return obj
 
 
 def report_to_json(rep: AnalysisReport) -> str:
@@ -451,24 +478,15 @@ def report_from_json(text: str) -> AnalysisReport:
             notes=h["notes"],
         ))
     return AnalysisReport(
-        seed=seed, r3=int(obj["r3"]), classes=classes,
-        monic_flags=list(obj["monic_flags"]),
-        r3_monic_lb=int(obj["r3_monic_lb"]),
-        selmer_lambda=int(obj["selmer_lambda"]),
-        selmer_lambda_dual=int(obj["selmer_lambda_dual"]),
-        points=points,
-        dim_quotient_lambda=int(obj["dim_quotient_lambda"]),
-        dim_mod_3=int(obj["dim_mod_3"]),
-        rank_lb=int(obj["rank_lb"]), rank_ub=int(obj["rank_ub"]),
-        sha_lambda_rank_conditional=int(obj["sha_lambda_rank_conditional"]),
-        parity_note=obj["parity_note"], hasse=hasse,
-        provenance=dict(obj["provenance"]))
+        seed=seed, classes=classes, monic_flags=list(obj["monic_flags"]),
+        points=points, parity_note=obj["parity_note"], hasse=hasse,
+        provenance=dict(obj["provenance"]),
+        **{k: int(obj[k]) for k in INT_FIELDS})
 
 
-CSV_FIELDS = ("m", "n", "D", "r3", "n_classes", "n_monic_found",
-              "r3_monic_lb", "selmer_lambda", "selmer_lambda_dual",
-              "dim_quotient_lambda", "dim_mod_3", "rank_lb", "rank_ub",
-              "sha_lambda_rank_conditional", "hasse_summary")
+# r3 leads, then the class counts it is read from, then the other ints
+CSV_FIELDS = ("m", "n", "D", INT_FIELDS[0], "n_classes", "n_monic_found",
+              *INT_FIELDS[1:], "hasse_summary")
 
 
 def report_csv_header() -> str:
@@ -480,8 +498,7 @@ def report_to_csv(rep: AnalysisReport) -> str:
     summary = "/".join(f"{kinds.count(k)}{tag}" for k, tag in (
         ("has_global_point", "pt"), ("certified_violation", "viol")))
     found = sum(1 for f in rep.monic_flags if f in ("already_monic", "found"))
-    row = (rep.seed.m, rep.seed.n, rep.seed.D, rep.r3, len(rep.classes),
-           found, rep.r3_monic_lb, rep.selmer_lambda, rep.selmer_lambda_dual,
-           rep.dim_quotient_lambda, rep.dim_mod_3, rep.rank_lb, rep.rank_ub,
-           rep.sha_lambda_rank_conditional, summary)
+    r3, *ints = (getattr(rep, k) for k in INT_FIELDS)
+    row = (rep.seed.m, rep.seed.n, rep.seed.D, r3, len(rep.classes), found,
+           *ints, summary)
     return ",".join(str(v) for v in row)

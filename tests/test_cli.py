@@ -13,6 +13,7 @@ import pytest
 from descent3 import __version__, cli
 from descent3.cli import main, _parse_filter, _parse_range, _recover_seed
 from descent3.errors import ValidationError
+from descent3.report import INT_FIELDS
 
 
 def test_analyze_csv_exit_zero(capsys):
@@ -390,10 +391,9 @@ def test_readme_quick_start_outputs(capsys):
     assert json.loads(out[3])["seed"]["disc"] == "-23"
 
 
-def test_scan_parses_a_fresh_line_only_when_needed(monkeypatch, tmp_path,
-                                                   capsys):
-    # a fresh JSON line is printed as it was serialized; a cached line is
-    # always parsed, and a filter or a csv/text format parses every line
+def test_scan_parses_only_cached_records(monkeypatch, tmp_path, capsys):
+    # a fresh report is printed from the object just built, in every format
+    # and under a filter; a cached record is parsed once, on lookup
     parsed = []
     real = cli.report_from_json
 
@@ -402,21 +402,77 @@ def test_scan_parses_a_fresh_line_only_when_needed(monkeypatch, tmp_path,
         return real(text)
 
     monkeypatch.setattr(cli, "report_from_json", counting)
+    box = ["scan", "--m", "1..3", "--n", "1..3"]
+    for extra in ([], ["--filter", "r3>=0"], ["--format", "csv"],
+                  ["--format", "text"], ["--format", "json"],
+                  ["--format", "json", "--filter", "r3>=1"]):
+        assert main([*box, *extra]) == 0
+        assert parsed == [], extra
+    capsys.readouterr()
+    for fmt in ("json", "csv", "text"):
+        cache = tmp_path / f"{fmt}.ndjson"
+        argv = [*box, "--format", fmt, "--cache", str(cache)]
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        assert parsed == [], fmt                # built here, not parsed
+        assert main(argv) == 0                  # every record is a hit
+        assert capsys.readouterr().out == fresh
+        assert len(parsed) == 4 and len(set(parsed)) == 4, fmt
+        parsed.clear()
+
+
+def test_cache_is_keyed_on_the_seed(tmp_path, capsys):
+    # (1, 1) and (1, -1) share D = -23, as (2, 1) and (2, -1) share D = 5:
+    # the replay must print each seed's own report
     cache = tmp_path / "scan.ndjson"
-    argv = ["scan", "--m", "1..3", "--n", "1..3", "--format", "json",
+    argv = ["scan", "--m=1..2", "--n=-1..1", "--format", "csv",
             "--cache", str(cache)]
     assert main(argv) == 0
-    fresh = capsys.readouterr().out
-    assert len(fresh.splitlines()) == 4 and parsed == []
-    assert main(argv) == 0                      # every line is a cache hit
-    assert capsys.readouterr().out == fresh
-    assert len(parsed) == 4
-    for extra in (["--filter", "r3>=0"], ["--format", "csv"],
-                  ["--format", "text"]):
-        parsed.clear()
-        assert main(["scan", "--m", "1..3", "--n", "1..3", *extra]) == 0
-        assert len(parsed) == 4, extra
-    capsys.readouterr()
+    first = capsys.readouterr().out
+    assert [r.split(",")[:2] for r in first.splitlines()[1:]] == [
+        ["1", "-1"], ["1", "1"], ["2", "-1"], ["2", "1"]]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == first
+    assert err.count("cache hit") == 4
+    # two seeds of one D far apart: D = -4897363
+    base = ["analyze", "--no-hasse", "--format", "json", "--cache", str(cache)]
+    for m, n in ((-34, 419), (362, -2685)):
+        assert main([*base, "--m", str(m), "--n", str(n)]) == 0
+        out, err = capsys.readouterr()
+        seed = json.loads(out)["seed"]
+        assert (seed["m"], seed["n"], seed["disc"]) == (
+            str(m), str(n), "-4897363")
+        assert "cache hit" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unusable_cache_path_exits_2_before_any_build(where, monkeypatch,
+                                                       tmp_path, capsys):
+    path = tmp_path if where == "directory" else tmp_path / "no" / "c.ndjson"
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a report was built")
+
+    monkeypatch.setattr(cli, "build_report", no_build)
+    for cmd in (["analyze", "--m", "1", "--n", "1"],
+                ["scan", "--m", "1..2", "--n", "1..2"]):
+        assert main([*cmd, "--cache", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "no").exists()
+
+
+def test_filter_takes_every_integer_report_field(capsys):
+    argv = ["scan", "--m", "1..1", "--n", "1..1", "--format", "csv"]
+    for field in INT_FIELDS:
+        argv += ["--filter", f"{field}>=0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1,1,-23,")
+    assert main(["scan", "--m", "1..1", "--n", "1..1",
+                 "--filter", "classes>=1"]) == 2
+    assert "bad filter 'classes>=1'" in capsys.readouterr().err
 
 
 # malformed values next to valid ones; every bound and seed stays small,

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ from descent3 import (build_report, class_group_imaginary,
                       rank_bounds, selmer_ranks)
 from descent3.errors import (ExcludedDiscriminant, InconsistencyError,
                              InconsistentInputs, PositiveDiscriminant)
-from descent3.report import (report_csv_header, report_from_json,
-                             report_to_csv, report_to_json,
+from descent3 import arith
+from descent3.report import (INT_FIELDS, AnalysisReport, report_csv_header,
+                             report_from_json, report_to_csv, report_to_json,
                              report_to_json_dict)
 
 DATA = Path(__file__).parent / "data"
@@ -183,6 +185,31 @@ def test_report_json_all_ints_stringified():
     walk(d)
 
 
+def test_report_json_keys_are_the_fields_in_declaration_order():
+    names = [f.name for f in fields(AnalysisReport)]
+    assert list(report_to_json_dict(build_report(make_seed(1, 1)))) == names
+    assert INT_FIELDS == (
+        "r3", "r3_monic_lb", "selmer_lambda", "selmer_lambda_dual",
+        "dim_quotient_lambda", "dim_mod_3", "rank_lb", "rank_ub",
+        "sha_lambda_rank_conditional")
+
+
+def test_build_report_tests_d_for_squarefreeness_once(monkeypatch):
+    # the seed, the class enumeration and the class group each ask
+    divided = []
+    real = arith._trial_divide
+
+    def counting(n):
+        divided.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "_trial_divide", counting)
+    arith.is_squarefree.cache_clear()
+    rep = build_report(make_seed(-34, 419))
+    assert rep.seed.D == -4897363
+    assert divided.count(4897363) == 1
+
+
 def test_report_csv_shape():
     rep = build_report(make_seed(1, 1))
     header = report_csv_header()
@@ -191,6 +218,10 @@ def test_report_csv_shape():
     cells = row.split(",")
     assert cells[0:3] == ["1", "1", "-23"]
     assert cells[-1] == "1pt/0viol"
+    # every integer field has its column, holding the field's value
+    columns = dict(zip(header.split(","), cells))
+    assert {k: columns[k] for k in INT_FIELDS} == {
+        k: str(getattr(rep, k)) for k in INT_FIELDS}
 
 
 def test_build_report_rich_negative_end_to_end():

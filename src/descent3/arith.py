@@ -12,7 +12,7 @@ from math import gcd, isqrt, prod
 
 import sympy
 
-from .errors import BadPrime, FactorizationBudgetExceeded, ZeroInput
+from .errors import BudgetExceeded, ValidationError
 
 # Trial division bound used before the rho fallback kicks in.
 TRIAL_BOUND = 10**6
@@ -128,10 +128,10 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {p: e}.  Raises ZeroInput on 0 and
-    FactorizationBudgetExceeded if the rho fallback gives up."""
+    """Prime factorization of |n| as {p: e}.  Raises ValidationError on 0
+    and BudgetExceeded if the rho fallback gives up."""
     if n == 0:
-        raise ZeroInput("cannot factor 0")
+        raise ValidationError("cannot factor 0")
     out, rest = _trial_divide(abs(n))
     stack = [rest] if rest > 1 else []
     while stack:
@@ -145,7 +145,7 @@ def factorize(n: int) -> dict[int, int]:
             continue
         f = _pollard_rho(m)
         if f is None or f in (1, m):
-            raise FactorizationBudgetExceeded(f"gave up factoring {m}")
+            raise BudgetExceeded(f"gave up factoring {m}")
         stack.extend([f, m // f])
     return out
 
@@ -160,12 +160,12 @@ def divisors(n: int) -> list[int]:
 
 @lru_cache(maxsize=1024)
 def is_squarefree(n: int) -> bool:
-    """Exact squarefree test; treats n and -n alike.  Raises ZeroInput on 0
-    and FactorizationBudgetExceeded if the rho fallback gives up.  The seed,
-    the class enumeration and the class group each test the same D, so
-    the answer is kept."""
+    """Exact squarefree test; treats n and -n alike.  Raises
+    ValidationError on 0 and BudgetExceeded if the rho fallback gives up.
+    The seed, the class enumeration and the class group each test the
+    same D, so the answer is kept."""
     if n == 0:
-        raise ZeroInput("squarefree is undefined for 0")
+        raise ValidationError("squarefree is undefined for 0")
     small, rest = _trial_divide(abs(n))
     if any(e > 1 for e in small.values()):
         return False
@@ -184,7 +184,7 @@ def _unity_cube_root(l: int) -> int:
     """The primitive cube root of unity a^((l-1)/3) mod l for the least
     a >= 2 that is not a cube mod l; fixed per l, so characters agree."""
     if not is_prime(l) or l % 3 != 1:
-        raise BadPrime(f"{l} is not a prime = 1 (mod 3)")
+        raise ValidationError(f"{l} is not a prime = 1 (mod 3)")
     a = 2
     while pow(a, (l - 1) // 3, l) == 1:
         a += 1
@@ -199,7 +199,7 @@ def cubic_character(y: int, l: int) -> int:
     the cubes."""
     omega = _unity_cube_root(l)
     if y % l == 0:
-        raise BadPrime(f"{y} is divisible by {l}")
+        raise ValidationError(f"no cubic character: {y} is divisible by {l}")
     e = pow(y, (l - 1) // 3, l)
     return 0 if e == 1 else 1 if e == omega else 2
 

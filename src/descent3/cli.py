@@ -2,13 +2,14 @@
 
 Subcommands: analyze one seed or discriminant, scan a box of (m, n),
 regenerate the bundled tables, or inspect Hasse verdicts / form classes
-for a single discriminant.  Exit codes: 0 success, 2 invalid input,
-3 internal inconsistency or table mismatch, 4 a computation budget ran
-out (factoring or the class enumeration gave up).
+for a single discriminant.  Exit codes: 0 success or a closed stdout,
+2 invalid input, 3 internal inconsistency or table mismatch, 4 a budget
+ran out (factoring or the class enumeration gave up).
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -316,7 +317,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_ranges(argv))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has what it wanted; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValidationError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
 from .arith import (bit_indices, cube_root_exact, cubic_square_points,
-                    integer_roots_monic_cubic, iroot, is_squarefree,
-                    least_cube_index, tile_residues, xgcd)
-from .errors import (DegenerateDiscriminant, EnumerationBudgetExceeded,
-                     InconsistencyError, NotSquarefree, ValidationError)
+                    integer_roots_monic_cubic, iroot, least_cube_index,
+                    tile_residues, xgcd)
+from .errors import BudgetExceeded, InconsistencyError, ValidationError
+from .seeds import check_disc
 
 _S = ((0, -1), (1, 0))
 _J = ((1, 0), (0, -1))
@@ -302,8 +302,8 @@ def sieve_ranges(D: int) -> list:
     candidate_forms: P runs over lo .. hi, lo being at least the least P
     with 4P^3 >= 27Da^2, and b over |b| <= bmax with |b^2 - P| <= span
     (D < 0) or b^2 - P <= 3a|b| (D > 0, span None).  Raises
-    EnumerationBudgetExceeded once the widths of the ranges add up to
-    more than ENUMERATION_BUDGET, before the rest are found."""
+    BudgetExceeded once the widths of the ranges add up to more than
+    ENUMERATION_BUDGET, before the rest are found."""
     if D > 0:
         sq = isqrt(D)
         amax = isqrt(max(4 * sq // 27, 1)) + 1
@@ -322,20 +322,11 @@ def sieve_ranges(D: int) -> list:
         lo = max(lo, least_cube_index(27 * D * a * a))
         total += max(hi + 1 - lo, 0)
         if total > ENUMERATION_BUDGET:
-            raise EnumerationBudgetExceeded(
+            raise BudgetExceeded(
                 f"the class enumeration for D = {D} would sieve more than "
                 f"{ENUMERATION_BUDGET} values (a <= {a} of {amax})")
         ranges.append((a, bmax, lo, hi, span))
     return ranges
-
-
-def _validate_enum_disc(D: int):
-    if D in (0, 1, -3, -4):
-        raise DegenerateDiscriminant(f"D = {D}")
-    if D % 4 != 1:
-        raise DegenerateDiscriminant(f"D = {D} is not 1 mod 4; not a seed discriminant")
-    if not is_squarefree(D):
-        raise NotSquarefree(f"D = {D}")
 
 
 def enumerate_classes(D: int) -> list[BinaryCubicForm]:
@@ -344,7 +335,7 @@ def enumerate_classes(D: int) -> list[BinaryCubicForm]:
     must come out as (3^r - 1)/2 (anything else is an enumeration bug or a
     non-fundamental input).  Each candidate is tested for irreducibility
     once and then reduced without repeating the test."""
-    _validate_enum_disc(D)
+    check_disc(D)
     reps = {}
     for F in candidate_forms(D):
         if is_irreducible(F):

@@ -54,7 +54,7 @@ from math import gcd
 
 from .arith import cube_root_exact
 from .cubicforms import BinaryCubicForm, MonicSearch, _sieved_search, disc
-from .errors import DiscriminantMismatch, ValidationError
+from .errors import ValidationError
 from .seeds import DiscriminantSeed
 
 
@@ -65,7 +65,7 @@ class HomogeneousSpace:
 
     def __post_init__(self):
         if self.seed is not None and disc(self.form) != self.seed.D:
-            raise DiscriminantMismatch(
+            raise ValidationError(
                 f"form disc {disc(self.form)} != seed {self.seed.D}")
 
     def __str__(self):

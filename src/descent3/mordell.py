@@ -51,8 +51,7 @@ from math import isqrt
 
 from .arith import (cubic_character, cubic_square_points,
                     integer_roots_monic_cubic, is_prime)
-from .errors import (CurveMismatch, OffCurve, PreimageMissing,
-                     ValidationError, ZeroInput)
+from .errors import InconsistencyError, ValidationError
 from .quadfield import QuadElem, is_cube
 
 
@@ -92,14 +91,15 @@ class CurvePoint:
         # y^2 = x^3 + k, cleared of the denominators (w^2, w^3), in ints
         w2, w3 = x.denominator, y.denominator
         if y.numerator**2 * w2**3 != (x.numerator**3 + curve.k * w2**3) * w3**2:
-            raise OffCurve(f"({x}, {y}) not on {curve}")
+            raise ValidationError(f"({x}, {y}) not on {curve}")
         assert isqrt(w2) ** 2 == w2 and isqrt(w2) ** 3 == w3
         self.x, self.y = x, y
 
     def uvw(self):
         """x = u/w^2, y = v/w^3 in lowest terms, w > 0."""
         if self.infinite:
-            raise ZeroInput("point at infinity has no affine coordinates")
+            raise ValidationError(
+                "point at infinity has no affine coordinates")
         w = isqrt(self.x.denominator)
         return (self.x.numerator, self.y.numerator, w)
 
@@ -124,7 +124,7 @@ class CurvePoint:
 
 def add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     if P.curve != Q.curve:
-        raise CurveMismatch(f"{P.curve} vs {Q.curve}")
+        raise ValidationError(f"points on two curves: {P.curve} vs {Q.curve}")
     if P.infinite:
         return Q
     if Q.infinite:
@@ -161,7 +161,7 @@ def lambda_map(P: CurvePoint, D: int) -> CurvePoint:
     E = MordellCurve.e_d(D)
     E2 = MordellCurve.e_d_prime(D)
     if P.curve != E:
-        raise CurveMismatch(f"expected {E}")
+        raise ValidationError(f"point on {P.curve}, expected {E}")
     if P.infinite:
         return CurvePoint(E2)
     if P.x == 0:
@@ -176,7 +176,7 @@ def lambda_dual(S: CurvePoint, D: int) -> CurvePoint:
     E2 = MordellCurve.e_d_prime(D)
     E = MordellCurve.e_d(D)
     if S.curve != E2:
-        raise CurveMismatch(f"expected {E2}")
+        raise ValidationError(f"point on {S.curve}, expected {E2}")
     if S.infinite:
         return CurvePoint(E)
     if S.x == 0:
@@ -196,7 +196,7 @@ def lambda_preimage(S: CurvePoint, D: int) -> CurvePoint | None:
     exact root isolation (no factoring of 64*D*W^6 needed)."""
     E2 = MordellCurve.e_d_prime(D)
     if S.curve != E2:
-        raise CurveMismatch(f"expected {E2}")
+        raise ValidationError(f"point on {S.curve}, expected {E2}")
     E = MordellCurve.e_d(D)
     if S.infinite:
         return CurvePoint(E)
@@ -225,7 +225,8 @@ def psi(P: CurvePoint, D: int) -> QuadElem | None:
     y + 4 sqrt(D); its norm is u^3.  O maps to None, the trivial class of
     Q(sqrt D)* / cubes."""
     if P.curve != MordellCurve.e_d(D):
-        raise CurveMismatch("psi wants a point of E_D")
+        raise ValidationError(
+            f"psi wants a point of E_D, got one on {P.curve}")
     if P.infinite:
         return None
     if P.x == 0:
@@ -240,7 +241,8 @@ def psi_prime(S: CurvePoint, D: int) -> QuadElem | None:
     """S = (U/W^2, V/W^3) on E_D' maps to V + 12 W^3 sqrt(D'), D' = -3D;
     its norm is U^3; O maps to None.  Kernel = lambda(E_D(Q))."""
     if S.curve != MordellCurve.e_d_prime(D):
-        raise CurveMismatch("psi_prime wants a point of E_D'")
+        raise ValidationError(
+            f"psi_prime wants a point of E_D', got one on {S.curve}")
     if S.infinite:
         return None
     if S.x == 0:
@@ -267,8 +269,8 @@ def syzygy_point(D: int, P: int, G: int) -> CurvePoint:
     """The point (4P, 4G) of E_D': Y^2 = X^3 - 432D, where (P, G) solves
     G^2 = 4P^3 - 27D.  For a monic form (1, b, c, d) of discriminant D,
     P = b^2 - 3c and G = 2b^3 - 9bc + 27d are its Hessian and cubic
-    covariant at (1, 0) (cubicforms.syzygy_pair).  Raises OffCurve when
-    (P, G) is not on that curve."""
+    covariant at (1, 0) (cubicforms.syzygy_pair).  Raises ValidationError
+    when (P, G) is not on that curve."""
     return CurvePoint(MordellCurve.e_d_prime(D), 4 * P, 4 * G)
 
 
@@ -411,7 +413,7 @@ def span_dim_mod_3(points: list[CurvePoint], D: int, *, relations=None):
                 T = add(T, -B if c == 1 else B)
         P = lambda_preimage(T, D)
         if P is None:
-            raise PreimageMissing(
+            raise InconsistencyError(
                 f"psi'({T}) is a cube but no rational preimage found")
         if not P.infinite and P.x != 0:
             kernel.append(psi(P, D))

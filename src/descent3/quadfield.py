@@ -12,8 +12,7 @@ from math import gcd, isqrt
 
 from .arith import (cube_root_exact, cubic_character, factorize,
                     integer_roots_monic_cubic, is_perfect_square)
-from .errors import (FieldMismatch, NotOnNormEquation, ValidationError,
-                     ZeroInput)
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class QuadElem:
 
     def _check(self, other: "QuadElem"):
         if self.d != other.d:
-            raise FieldMismatch(f"d = {self.d} vs {other.d}")
+            raise ValidationError(f"field mismatch: d = {self.d} vs {other.d}")
 
     def __add__(self, other: "QuadElem") -> "QuadElem":
         self._check(other)
@@ -109,7 +108,7 @@ def is_cube(alpha: QuadElem):
     answer is self-certifying and None is a completeness statement.
     """
     if alpha.is_zero():
-        raise ZeroInput("cube test on 0")
+        raise ValidationError("cube test on 0")
     q = cube_root_exact(alpha.norm())
     if q is None:
         return None
@@ -146,7 +145,7 @@ def same_cubic_field(mu1: QuadElem, mu2: QuadElem) -> bool:
     true iff mu1*mu2^2 or mu1*conj(mu2)^2 is a cube (multiplying by a square
     keeps the cube class of the quotient while staying integral)."""
     if mu1.d != mu2.d:
-        raise FieldMismatch(f"d = {mu1.d} vs {mu2.d}")
+        raise ValidationError(f"field mismatch: d = {mu1.d} vs {mu2.d}")
     if is_cube(mu1) is not None or is_cube(mu2) is not None:
         raise ValidationError("same_cubic_field needs non-cube inputs")
     return (is_cube(mu1 * mu2 * mu2) is not None
@@ -158,9 +157,10 @@ def yamamoto_nonprincipal(x: int, y: int, z: int, D_M: int) -> bool:
     true iff some prime l | x with l = 1 (mod 3) has y a cube non-residue
     mod l."""
     if y * y != 4 * x**3 + z * z * D_M:
-        raise NotOnNormEquation(f"{y}^2 != 4*{x}^3 + {z}^2*{D_M}")
+        raise ValidationError(
+            f"not on the norm equation: {y}^2 != 4*{x}^3 + {z}^2*{D_M}")
     if gcd(x, y) != 1:
-        raise NotOnNormEquation(f"gcd({x}, {y}) != 1")
+        raise ValidationError(f"norm equation needs gcd({x}, {y}) = 1")
     if abs(x) <= 1:
         return False
     for l in factorize(x):

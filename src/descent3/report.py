@@ -23,17 +23,16 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import __version__
-from .arith import factorize, is_squarefree, xgcd
+from .arith import factorize, xgcd
 from .cubicforms import (BinaryCubicForm, enumerate_classes,
                          monic_representative, rank_of_class_count,
                          syzygy_pair)
-from .errors import (ExcludedDiscriminant, InconsistencyError,
-                     InconsistentInputs, PositiveDiscriminant)
+from .errors import InconsistencyError, ValidationError
 from .genus1 import Genus1Verdict, HomogeneousSpace, hasse_verdict
 from .mordell import (CurvePoint, MordellCurve, psi_prime_relations,
                       search_monic_points, span_dim_mod_3,
                       span_dim_mod_lambda, syzygy_point)
-from .seeds import DiscriminantSeed
+from .seeds import DiscriminantSeed, check_disc
 
 
 # --- 3-rank from the field count ---
@@ -178,11 +177,8 @@ def class_group_imaginary(D: int) -> ClassGroup:
     family (D < 0, D = 1 mod 4, squarefree).  Serves as an oracle: its
     3-rank must match r3_from_fields(D)."""
     if D >= 0:
-        raise PositiveDiscriminant(f"D = {D}")
-    if D % 4 != 1:
-        raise ExcludedDiscriminant(f"D = {D} is not 1 mod 4")
-    if not is_squarefree(D):
-        raise ExcludedDiscriminant(f"D = {D} is not squarefree")
+        raise ValidationError(f"D = {D} is not negative")
+    check_disc(D)
     forms = _reduced_qforms(D)
     return ClassGroup(D, tuple(forms), _abelian_invariants(forms, D))
 
@@ -193,7 +189,7 @@ def selmer_ranks(D: int, r3: int):
     """(d(S_lambda), d(S_lambda')): (r3, r3) for D < -4, (r3, r3 + 1) for
     D > 4."""
     if -4 <= D <= 4:
-        raise ExcludedDiscriminant(f"D = {D} has |D| <= 4")
+        raise ValidationError(f"D = {D} has |D| <= 4")
     return (r3, r3) if D < 0 else (r3, r3 + 1)
 
 
@@ -208,7 +204,7 @@ def rank_bounds(D: int, r3: int, r3_monic: int):
     """
     ub = sum(selmer_ranks(D, r3))
     if r3_monic < 1 or r3_monic > r3:
-        raise InconsistentInputs(
+        raise ValidationError(
             f"r3(monic) = {r3_monic} outside [1, r3 = {r3}]")
     odd = r3_monic % 2 == 1
     if D < 0:

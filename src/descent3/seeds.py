@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import divisors, is_squarefree
-from .errors import DegenerateDiscriminant, GcdViolation, NotSquarefree
+from .errors import ValidationError
 
 
 def disc_value(m: int, n: int) -> int:
@@ -28,16 +28,25 @@ class DiscriminantSeed:
         return -3 * self.D
 
 
+def check_disc(D: int):
+    """Raise ValidationError unless D is a family discriminant: squarefree,
+    1 (mod 4), and neither 1 nor -3."""
+    if D in (1, -3):
+        raise ValidationError(f"D = {D} is excluded")
+    if D % 4 != 1:
+        raise ValidationError(f"D = {D} is not 1 mod 4")
+    if not is_squarefree(D):
+        raise ValidationError(f"D = {D} is not squarefree")
+
+
 def make_seed(m: int, n: int) -> DiscriminantSeed:
     """Validate (m, n) and build the seed.  Checks are ordered so a gcd
     violation is reported as such even when D also fails squarefreeness."""
     if gcd(2 * m, 3 * n) != 1:
-        raise GcdViolation(f"gcd(2m, 3n) = {gcd(2 * m, 3 * n)} for (m, n) = ({m}, {n})")
+        raise ValidationError(
+            f"gcd(2m, 3n) = {gcd(2 * m, 3 * n)} for (m, n) = ({m}, {n})")
     D = disc_value(m, n)
-    if D in (-3, -4, 0, 1):
-        raise DegenerateDiscriminant(f"D = {D} is excluded")
-    if not is_squarefree(D):
-        raise NotSquarefree(f"D = {D} is not squarefree")
+    check_disc(D)
     return DiscriminantSeed(m, n, D)
 
 
@@ -49,7 +58,7 @@ def honda_divisible_by_3(m: int, n: int) -> bool:
     does not apply, not that 3 fails to divide the class number.
     """
     if gcd(m, 3 * n) != 1:
-        raise GcdViolation(f"gcd(m, 3n) != 1 for (m, n) = ({m}, {n})")
+        raise ValidationError(f"gcd(m, 3n) != 1 for (m, n) = ({m}, {n})")
     for h0 in divisors(n):
         for h in (h0, -h0):
             if (n + h**3) % h == 0 and (n + h**3) // h == m:
@@ -59,11 +68,12 @@ def honda_divisible_by_3(m: int, n: int) -> bool:
 
 def scan(m_range, n_range):
     """Yield every valid seed in the box, m outer ascending, n inner
-    ascending; invalid pairs are skipped."""
+    ascending; the pairs make_seed rejects are skipped, and any other
+    error (a factoring budget) propagates."""
     for m in m_range:
         for n in n_range:
             try:
                 seed = make_seed(m, n)
-            except (GcdViolation, DegenerateDiscriminant, NotSquarefree):
+            except ValidationError:
                 continue
             yield seed

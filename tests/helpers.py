@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from descent3.arith import (bit_indices, divisors, integer_roots_monic_cubic,
                             iroot, tile_residues)
 from descent3.cubicforms import _SIEVE_MODULI, _TARGETS, _residue_row
-from descent3.errors import DiscriminantMismatch, PreimageMissing, ZeroInput
+from descent3.errors import InconsistencyError, ValidationError
 from descent3 import (BinaryCubicForm, CurvePoint, MordellCurve, QuadElem,
                       QuadraticForm, act, add, disc, hessian,
                       in_lambda_image, is_cube, is_irreducible, lambda_dual,
@@ -90,7 +90,7 @@ def rational_roots(coeffs) -> list[Fraction]:
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
-        raise ZeroInput("zero polynomial")
+        raise ValidationError("zero polynomial")
     lcm = 1
     for c in cs:
         lcm = lcm * c.denominator // gcd(lcm, c.denominator)
@@ -605,7 +605,8 @@ def _trivial_mod_3(S, D) -> bool:
         return False
     P = lambda_preimage(S, D)
     if P is None:
-        raise PreimageMissing(f"psi'({S}) is a cube but no rational preimage found")
+        raise InconsistencyError(
+            f"psi'({S}) is a cube but no rational preimage found")
     if P.infinite or P.x == 0:
         return True
     return is_cube(psi(P, D)) is not None
@@ -795,7 +796,7 @@ def depress(a: int, b: int, c: int) -> DepressedCubic:
 def point_from_depressed(dc: DepressedCubic, D: int):
     """The rational point (12m, 108n) on E_D': Y^2 = X^3 - 432D."""
     if dc.disc() != D:
-        raise DiscriminantMismatch(f"{dc.disc()} != {D}")
+        raise ValidationError(f"depressed cubic disc {dc.disc()} != {D}")
     E = MordellCurve.e_d_prime(D)
     return CurvePoint(E, 12 * dc.m, 108 * dc.n)
 

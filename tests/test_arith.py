@@ -11,7 +11,7 @@ from descent3.arith import (TRIAL_BOUND, bit_indices, cube_root_exact,
                             cubic_character, divisors, factorize,
                             integer_roots_monic_cubic, iroot,
                             is_perfect_square, is_squarefree)
-from descent3.errors import BadPrime
+from descent3.errors import ValidationError
 from helpers import primes_upto, rational_roots
 
 
@@ -193,9 +193,10 @@ def test_is_cubic_residue_rejects_wrong_modulus():
     # 5 is not 1 mod 3, and 4 and 91 = 7 * 13 are composite
     for l in (5, 4, 91):
         for y in (1, 2):
-            with pytest.raises(BadPrime):
+            with pytest.raises(ValidationError,
+                               match=rf"^{l} is not a prime = 1 \(mod 3\)$"):
                 cubic_character(y, l)
-    with pytest.raises(BadPrime):
+    with pytest.raises(ValidationError, match="14 is divisible by 7$"):
         cubic_character(14, 7)
 
 

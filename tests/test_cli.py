@@ -1,15 +1,19 @@
 """Command line behavior: exit codes, formats, cache, scan filters."""
 
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import descent3
 from descent3 import __version__, cli
 from descent3.cli import main, _parse_filter, _parse_range, _recover_seed
 from descent3.errors import ValidationError
@@ -44,6 +48,25 @@ def test_analyze_gcd_violation_exit_2(capsys):
     rc = main(["analyze", "--m", "2", "--n", "2"])
     assert rc == 2
     assert "error" in capsys.readouterr().err.lower()
+    # every bad seed raises one class, so the message names the condition
+    assert main(["analyze", "--m", "2", "--n", "21"]) == 2
+    assert capsys.readouterr().err == \
+        "error: ValidationError: D = -11875 is not squarefree\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # the 82 kB of reports outgrow a 64 kB pipe buffer, so writes are still
+    # pending when the reader closes the pipe after its first line
+    env = dict(os.environ, PYTHONPATH=str(Path(descent3.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "descent3.cli", "scan", "--m=-8..8",
+         "--n=-7..7", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b'{"seed": ')
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0, err
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
 
 
 def test_analyze_disc_recovery(capsys):
@@ -163,7 +186,9 @@ def test_class_enumeration_over_budget_exits_4_at_once(cmd, capsys):
     start = time.perf_counter()
     assert main([cmd, "--m", "-1", "--n", "9" * 30]) == 4
     assert time.perf_counter() - start < 1
-    assert "EnumerationBudgetExceeded" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("budget: BudgetExceeded: the class enumeration")
+    assert "would sieve more than" in err
 
 
 def test_scan_filter_and_cache_round_trip(tmp_path, capsys):
@@ -342,16 +367,17 @@ def test_cache_misses_a_report_made_under_other_settings(tmp_path, capsys):
 
 def test_factorization_budget_exit_4(monkeypatch, capsys):
     import descent3.report as report
-    from descent3.errors import FactorizationBudgetExceeded
+    from descent3.errors import BudgetExceeded
 
     def give_up(n):
-        raise FactorizationBudgetExceeded(f"gave up factoring {n}")
+        raise BudgetExceeded(f"gave up factoring {n}")
 
     # the class-group cross-check factors the class number (3 for D = -23)
     monkeypatch.setattr(report, "factorize", give_up)
     rc = main(["analyze", "--m", "1", "--n", "1"])
     assert rc == 4
-    assert "FactorizationBudgetExceeded" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "budget: BudgetExceeded: gave up factoring 3\n"
 
 
 def test_readme_commands_run(capsys):

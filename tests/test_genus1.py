@@ -13,7 +13,7 @@ from descent3 import (BinaryCubicForm, HomogeneousSpace, act, disc,
                       locally_solvable, make_seed, monic_representative,
                       reduce, scan)
 from descent3.arith import factorize
-from descent3.errors import DiscriminantMismatch, ValidationError
+from descent3.errors import ValidationError
 
 # forms with 3 | disc, outside the domain of the Q_3 criterion, frozen by
 # the chart oracle: (coefficients, level where the exhaustive residue scan
@@ -44,7 +44,8 @@ WITNESS_PINS = (
 def test_space_guards_seed_disc():
     F = reduce(BinaryCubicForm(1, 0, -1, 1))
     HomogeneousSpace(F, make_seed(1, 1))
-    with pytest.raises(DiscriminantMismatch):
+    with pytest.raises(ValidationError,
+                       match="form disc -23 != seed 48035713$"):
         HomogeneousSpace(F, make_seed(229, 3))
 
 

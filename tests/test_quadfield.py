@@ -5,7 +5,7 @@ import random
 import pytest
 
 from descent3 import QuadElem, is_cube, make_seed, same_cubic_field, virtual_unit
-from descent3.errors import FieldMismatch
+from descent3.errors import ValidationError
 from descent3.quadfield import yamamoto_nonprincipal
 
 FIELDS = (-23, -31, 5, 13, 69, -163, 229, -4897363, 257, -407)
@@ -45,7 +45,8 @@ def test_norm_trace_conj():
 def test_field_mismatch_guarded():
     a = QuadElem.from_pair(-23, 1, 1)
     b = QuadElem.from_pair(5, 1, 1)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValidationError,
+                       match="^field mismatch: d = -23 vs 5$"):
         a * b
 
 
@@ -106,6 +107,5 @@ def test_yamamoto_nonprincipal_witness():
     assert yamamoto_nonprincipal(7, 16, 6, -31) is True
     # 3^2 = 4*2^3 + (-23): x = 2 has no prime divisor 1 mod 3, no witness
     assert yamamoto_nonprincipal(2, 3, 1, -23) is False
-    from descent3.quadfield import NotOnNormEquation
-    with pytest.raises(NotOnNormEquation):
+    with pytest.raises(ValidationError, match="^not on the norm equation: "):
         yamamoto_nonprincipal(7, 17, 6, -31)

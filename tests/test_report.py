@@ -10,8 +10,7 @@ import pytest
 from descent3 import (build_report, class_group_imaginary,
                       conditional_rank_sha3, make_seed, r3_from_fields,
                       rank_bounds, selmer_ranks)
-from descent3.errors import (ExcludedDiscriminant, InconsistencyError,
-                             InconsistentInputs, PositiveDiscriminant)
+from descent3.errors import InconsistencyError, ValidationError
 from descent3 import arith
 from descent3.report import (INT_FIELDS, AnalysisReport, report_csv_header,
                              report_from_json, report_to_csv, report_to_json,
@@ -49,12 +48,14 @@ def test_class_group_large_fixture():
 
 
 def test_class_group_rejects_bad_input():
-    with pytest.raises(PositiveDiscriminant):
+    with pytest.raises(ValidationError, match="^D = 229 is not negative$"):
         class_group_imaginary(229)
-    with pytest.raises(ExcludedDiscriminant):
-        class_group_imaginary(-20)          # 0 mod 4
-    with pytest.raises(ExcludedDiscriminant):
-        class_group_imaginary(-27)          # not squarefree
+    with pytest.raises(ValidationError, match="^D = -20 is not 1 mod 4$"):
+        class_group_imaginary(-20)
+    with pytest.raises(ValidationError, match="^D = -27 is not squarefree$"):
+        class_group_imaginary(-27)
+    with pytest.raises(ValidationError, match="^D = -3 is excluded$"):
+        class_group_imaginary(-3)
 
 
 def test_composition_group_axioms():
@@ -86,7 +87,7 @@ def test_selmer_ranks_both_signs():
     assert selmer_ranks(1129, 1) == (1, 2)
     assert selmer_ranks(-4897363, 3) == (3, 3)
     assert selmer_ranks(48035713, 2) == (2, 3)
-    with pytest.raises(ExcludedDiscriminant):
+    with pytest.raises(ValidationError, match=r"^D = -4 has \|D\| <= 4$"):
         selmer_ranks(-4, 1)
 
 
@@ -103,9 +104,9 @@ def test_rank_bounds_four_branches():
 
 
 def test_rank_bounds_rejects_inconsistent():
-    with pytest.raises(InconsistentInputs):
+    with pytest.raises(ValidationError, match=r"^r3\(monic\) = 0 outside "):
         rank_bounds(-23, 1, 0)
-    with pytest.raises(InconsistentInputs):
+    with pytest.raises(ValidationError, match=r"^r3\(monic\) = 2 outside "):
         rank_bounds(-23, 1, 2)
 
 
